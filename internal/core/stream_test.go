@@ -3,10 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/realfmla"
 	"repro/internal/sqlfront"
 )
@@ -71,43 +74,114 @@ func TestMeasureSQLStreamMatchesSlice(t *testing.T) {
 	}
 }
 
-// TestMeasureSQLStreamYieldError: a yield error aborts delivery and is
-// returned after the pipeline drains.
+// kernelCount is the number of formulas compiled into kc so far — one
+// per distinct candidate constraint MeasureFormula has been called on,
+// which is how the error-policy table counts measurement work without a
+// clock.
+func kernelCount(kc *Kernels) int {
+	kc.mu.Lock()
+	defer kc.mu.Unlock()
+	return len(kc.m)
+}
+
+// TestMeasureSQLStreamYieldError: the first error of a run — a failed
+// yield, or a ctx cancelled before the run or from inside yield — stops
+// it, for every pool width and both entry points: the error is returned,
+// delivery stops, and at most pool-width further candidates are measured
+// (each worker may finish the one it holds) instead of the rest of the
+// field.
 func TestMeasureSQLStreamYieldError(t *testing.T) {
 	d, err := datagen.Generate(datagen.Config{
-		Seed: 8, Products: 60, Orders: 40, Market: 20, Segments: 6, NullRate: 0.4,
+		Seed: 8, Products: 400, Orders: 40, Market: 30, Segments: 10,
+		NullRate: 0.3, MarketNullRate: 0.6,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := sqlfront.MustParse(`SELECT P.seg FROM Products P, Market M WHERE P.seg = M.seg`)
+	q := sqlfront.MustParse(`SELECT P.id FROM Products P, Market M
+		WHERE P.seg = M.seg AND P.rrp * P.dis <= M.rrp * M.dis`)
+	const failAt = 3
 	sentinel := errors.New("client went away")
-	calls := 0
-	var mu sync.Mutex
-	_, err = New(Options{Seed: 3}).MeasureSQLStream(context.Background(), q, d, 0.05, 0.25,
-		func(idx int, c MeasuredCandidate) error {
-			mu.Lock()
-			calls++
-			mu.Unlock()
-			if idx >= 1 {
-				return sentinel
+
+	type entry func(ctx context.Context, e *Engine, yield func(int, MeasuredCandidate) error) error
+	entries := map[string]entry{
+		"MeasureSQLStream": func(ctx context.Context, e *Engine, yield func(int, MeasuredCandidate) error) error {
+			_, err := e.MeasureSQLStream(ctx, q, d, 0.05, 0.25, yield)
+			return err
+		},
+		"MeasureCandidatesStream": func(ctx context.Context, e *Engine, yield func(int, MeasuredCandidate) error) error {
+			p, err := plan.Build(q, d, e.PlanOptions())
+			if err != nil {
+				return err
 			}
-			return nil
-		})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want sentinel", err)
+			res, _, err := exec.Aggregate(p, d, e.ExecOptions(), nil)
+			if err != nil {
+				return err
+			}
+			if len(res.Candidates) < 400 {
+				t.Fatalf("workload has %d candidates, want ≥ 400", len(res.Candidates))
+			}
+			_, err = e.MeasureCandidatesStream(ctx, res, p.Limit, 0.05, 0.25, yield)
+			return err
+		},
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if calls < 2 {
-		t.Fatalf("yield called %d times, want ≥ 2", calls)
+	modes := []struct {
+		name string
+		want error
+	}{
+		{"yield-error", sentinel},
+		{"cancel-in-yield", context.Canceled},
+		{"pre-cancelled", context.Canceled},
 	}
-	full, err := New(Options{Seed: 3}).MeasureSQL(q, d, 0.05, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls > len(full.Candidates) {
-		t.Fatalf("yield called %d times after error, beyond the %d candidates", calls, len(full.Candidates))
+	for name, run := range entries {
+		for _, mode := range modes {
+			for _, pool := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%s/%s/pool=%d", name, mode.name, pool), func(t *testing.T) {
+					kc := NewKernels(0)
+					eng := New(Options{Seed: 3, PoolWorkers: pool})
+					eng.UseKernels(kc)
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					if mode.name == "pre-cancelled" {
+						cancel()
+					}
+					// yield is never called concurrently with itself, so the
+					// counters need no lock of their own.
+					calls, late, atFail := 0, 0, 0
+					err := run(ctx, eng, func(idx int, c MeasuredCandidate) error {
+						calls++
+						switch {
+						case idx > failAt:
+							late++
+						case idx == failAt:
+							atFail = kernelCount(kc)
+							if mode.name == "cancel-in-yield" {
+								cancel()
+								return nil
+							}
+							return sentinel
+						}
+						return nil
+					})
+					if !errors.Is(err, mode.want) {
+						t.Fatalf("err = %v, want %v", err, mode.want)
+					}
+					if mode.name == "pre-cancelled" {
+						if calls != 0 {
+							t.Fatalf("yield called %d times under a cancelled context", calls)
+						}
+					} else if calls <= failAt {
+						t.Fatalf("yield called %d times, want > %d", calls, failAt)
+					}
+					if mode.name == "yield-error" && late != 0 {
+						t.Fatalf("%d deliveries after the failed yield", late)
+					}
+					if after := kernelCount(kc) - atFail; after > pool {
+						t.Fatalf("%d candidates measured after the run failed, want ≤ pool width %d", after, pool)
+					}
+				})
+			}
+		}
 	}
 }
 
