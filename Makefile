@@ -5,12 +5,12 @@ GOFMT ?= gofmt
 # dev containers cannot go install it).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: check vet build test race lint-check bench-smoke bench bench-check fuzz-smoke crash-check replica-check shard-check
+.PHONY: check vet build test race lint-check bench-smoke benchmark-smoke bench bench-check fuzz-smoke crash-check replica-check shard-check
 
 # check is what CI runs: static checks, build, tests, the determinism
-# lint gate, and a one-iteration benchmark smoke so the Figure 1
-# pipeline stays runnable.
-check: vet build test lint-check bench-smoke
+# lint gate, a one-iteration benchmark smoke so the Figure 1 pipeline
+# stays runnable, and the nested benchmark module's own vet + tests.
+check: vet build test lint-check bench-smoke benchmark-smoke
 
 # vet layers three formatting/correctness gates: gofmt (fail on any
 # unformatted file), go vet, and staticcheck when available.
@@ -49,6 +49,13 @@ race:
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Figure1a' -benchtime 1x -benchmem .
+
+# benchmark-smoke vets and tests the nested benchmark module (≈ 5 s). It
+# compiles against the product's exported surface, and `go build ./...`
+# at the root does not descend into it, so a refactor underneath that
+# surface is only caught here.
+benchmark-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # bench records the Figure 1 benchmark family as BENCH_<date>.json for
 # the performance trajectory across PRs.

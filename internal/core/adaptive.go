@@ -5,8 +5,6 @@ import (
 	"context"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/realfmla"
 )
@@ -101,9 +99,10 @@ func (e *Engine) MeasureTopK(phis []realfmla.Formula, k int, eps, delta float64)
 }
 
 // MeasureTopKContext is MeasureTopK with cancellation: the race checks
-// ctx between rounds and returns ctx.Err() when it fires.
+// ctx between rounds and between the candidates of a round, and returns
+// ctx.Err() when it fires.
 func (e *Engine) MeasureTopKContext(ctx context.Context, phis []realfmla.Formula, k int, eps, delta float64) (*TopKResult, error) {
-	if err := checkEpsDelta(eps, delta); err != nil {
+	if err := ValidateEpsDelta(eps, delta); err != nil {
 		return nil, err
 	}
 	out := &TopKResult{}
@@ -162,8 +161,6 @@ func (e *Engine) race(ctx context.Context, phis []realfmla.Formula, k int, eps, 
 	// borderline candidates run closer to the full budget.
 	logTerm := math.Log(2 * float64(n) * float64(totalRounds) / delta)
 
-	o := e.opts
-	kernels := e.poolKernels()
 	items := make([]*raceItem, n)
 	for i := range items {
 		// hw starts at +Inf so a candidate frozen IN before its first
@@ -175,10 +172,7 @@ func (e *Engine) race(ctx context.Context, phis []realfmla.Formula, k int, eps, 
 	// seeding, shared kernels, exact methods first, base-seed draw for
 	// the samplers. Item preps are independent and pure, so fan-out over
 	// the pool engines cannot change any value.
-	e.raceParallel(items, func(eng *Engine, it *raceItem) {
-		eng.resetItem(itemOptions(o, it.idx), kernels)
-		prepRaceItem(eng, it, m)
-	})
+	e.forEachItem(ctx, n, func(eng *Engine, i int) { prepRaceItem(eng, items[i], m) })
 	for _, it := range items {
 		if it.err != nil {
 			return out, it.err
@@ -191,7 +185,6 @@ func (e *Engine) race(ctx context.Context, phis []realfmla.Formula, k int, eps, 
 	behind := make([]int, n)
 	inCount, outCount := 0, 0
 	front, delivered := 0, 0
-	var work []*raceItem
 
 	for round := 0; ; round++ {
 		if err := ctx.Err(); err != nil {
@@ -269,15 +262,11 @@ func (e *Engine) race(ctx context.Context, phis []realfmla.Formula, k int, eps, 
 		if round < 31 && 1<<round < totalChunks {
 			target = 1 << round
 		}
-		work = work[:0]
-		for _, it := range items {
+		e.forEachItem(ctx, n, func(eng *Engine, i int) {
+			it := items[i]
 			if it.out || it.done || it.exact || it.drawn >= target {
-				continue
+				return
 			}
-			work = append(work, it)
-		}
-		e.raceParallel(work, func(eng *Engine, it *raceItem) {
-			eng.resetItem(itemOptions(o, it.idx), kernels)
 			ent := eng.compiledFor(it.phi)
 			it.hits += eng.sampleAsymRange(ent, it.m, it.base, it.drawn, target)
 			it.drawn = target
@@ -410,43 +399,4 @@ func prepRaceItem(eng *Engine, it *raceItem, m int) {
 	it.m = m
 	it.base = eng.drawBase()
 	it.res = Result{Method: MethodAFPRASRace, K: ent.ambient, RelevantK: n}
-}
-
-// raceParallel runs f over the work items, fanned out across the
-// engine's pooled per-item engines (PoolWorkers wide). Each item is
-// processed by exactly one worker and f must be pure per item, so
-// scheduling cannot change results; with a single worker everything
-// runs inline on the calling goroutine.
-func (e *Engine) raceParallel(work []*raceItem, f func(eng *Engine, it *raceItem)) {
-	workers := e.opts.poolWorkers()
-	if workers > len(work) {
-		workers = len(work)
-	}
-	if workers <= 1 {
-		eng := e.itemEngine(0)
-		for _, it := range work {
-			f(eng, it)
-		}
-		return
-	}
-	engines := make([]*Engine, workers)
-	for w := range engines {
-		engines[w] = e.itemEngine(w)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(eng *Engine) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(work) {
-					return
-				}
-				f(eng, work[i])
-			}
-		}(engines[w])
-	}
-	wg.Wait()
 }

@@ -16,7 +16,7 @@ import (
 // the paper's m = ⌈ε⁻²⌉ (analyzed at confidence 3/4); otherwise it uses
 // the Hoeffding bound for the requested confidence.
 func (e *Engine) sampleCount(eps, delta float64) (int, error) {
-	if err := checkEpsDelta(eps, delta); err != nil {
+	if err := ValidateEpsDelta(eps, delta); err != nil {
 		return 0, err
 	}
 	if e.opts.PaperSampleCount {

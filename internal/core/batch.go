@@ -1,18 +1,18 @@
 package core
 
 import (
-	"sync"
+	"context"
 
 	"repro/internal/realfmla"
 )
 
-// itemOptions derives the per-item engine options of a concurrent
-// measurement pool (MeasureBatch, Engine.MeasureSQL): a deterministic
+// itemOptions derives the per-item engine options of the measurement
+// pipeline (MeasureBatch, Engine.MeasureSQL, the race): a deterministic
 // per-index seed, and no nested sampling fan-out unless explicitly
 // requested — the pool is already GOMAXPROCS wide, and values are
-// Workers-independent, so this only affects scheduling. Both pools MUST
-// share this function; it is the determinism contract tying MeasureSQL
-// to MeasureBatch.
+// Workers-independent, so this only affects scheduling. It is the
+// determinism contract tying MeasureSQL to MeasureBatch; seedItem is its
+// one caller.
 func itemOptions(o Options, idx int) Options {
 	o.Seed += int64(idx) * 1_000_003
 	if o.Workers == 0 {
@@ -52,16 +52,13 @@ func (e *Engine) itemEngine(w int) *Engine {
 // shape of the experiment pipeline, where every candidate tuple of a SQL
 // result needs its own confidence level. Engines are not safe for
 // concurrent use, so each formula is measured under its own per-index
-// seeding (itemOptions) on a worker-owned engine: results are identical
-// to a sequential run regardless of scheduling. A nil error slice entry
-// means the corresponding result is valid.
+// seeding on a worker-owned pool engine (forEachItem): results are
+// identical to a sequential run regardless of scheduling. The batch owns
+// one shared compiled-kernel cache, so duplicate formulas compile once.
+// A nil error slice entry means the corresponding result is valid.
 func MeasureBatch(opts Options, phis []realfmla.Formula, eps, delta float64) ([]Result, []error) {
-	n := len(phis)
-	results := make([]Result, n)
-	errs := make([]error, n)
-	if n == 0 {
-		return results, errs
-	}
+	results := make([]Result, len(phis))
+	errs := make([]error, len(phis))
 	// Validate once up front with the shared validator: previously a batch
 	// of exactly-decidable formulas sailed past a bad eps (only the
 	// sampling path checked), so the contract differed across entry points.
@@ -71,34 +68,8 @@ func MeasureBatch(opts Options, phis []realfmla.Formula, eps, delta float64) ([]
 		}
 		return results, errs
 	}
-	o := opts.withDefaults()
-	workers := o.poolWorkers()
-	if workers > n {
-		workers = n
-	}
-	// One shared compiled-kernel cache per batch: duplicate formulas
-	// compile once, and sharing cannot change values (see kernelCache).
-	var kernels *kernelCache
-	if o.CompileCacheSize >= 0 {
-		kernels = newKernelCache(o.CompileCacheSize)
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			eng := New(o)
-			for i := range next {
-				eng.resetItem(itemOptions(o, i), kernels)
-				results[i], errs[i] = eng.MeasureFormula(phis[i], eps, delta)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	New(opts).forEachItem(context.Background(), len(phis), func(eng *Engine, i int) {
+		results[i], errs[i] = eng.MeasureFormula(phis[i], eps, delta)
+	})
 	return results, errs
 }

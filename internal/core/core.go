@@ -494,6 +494,3 @@ func ValidateEpsDelta(eps, delta float64) error {
 	}
 	return nil
 }
-
-// checkEpsDelta is the internal spelling of ValidateEpsDelta.
-func checkEpsDelta(eps, delta float64) error { return ValidateEpsDelta(eps, delta) }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -14,9 +15,11 @@ import (
 	"repro/internal/sqlfront"
 )
 
-// TestMeasureSQLStreamMatchesSlice: the stream delivers exactly the slice
-// API's candidates — same order, same tuples, bit-identical measures —
-// with strictly consecutive indices, for every pool width.
+// TestMeasureSQLStreamMatchesSlice: every entry point of the measurement
+// pipeline delivers the same candidates — same order, same tuples,
+// bit-identical measures, consecutive indices, same run summary — with
+// and without a LIMIT, on the race and on the fixed budget, for every
+// pool width.
 func TestMeasureSQLStreamMatchesSlice(t *testing.T) {
 	d, err := datagen.Generate(datagen.Config{
 		Seed: 5, Products: 120, Orders: 90, Market: 30, Segments: 10,
@@ -25,50 +28,126 @@ func TestMeasureSQLStreamMatchesSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := sqlfront.MustParse(`SELECT P.seg FROM Products P, Market M
-		WHERE P.seg = M.seg AND P.rrp * P.dis <= M.rrp * M.dis LIMIT 8`)
+	const join = `SELECT P.seg FROM Products P, Market M
+		WHERE P.seg = M.seg AND P.rrp * P.dis <= M.rrp * M.dis`
+	const eps, delta = 0.05, 0.25
 
-	want, err := New(Options{Seed: 9}).MeasureSQL(q, d, 0.05, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Candidates) == 0 {
-		t.Fatal("workload produced no candidates")
-	}
-
-	for _, pool := range []int{0, 1, 2} {
-		var got []MeasuredCandidate
+	// stream adapts a streaming entry point to the slice form, checking
+	// that indices are consecutive on the way.
+	stream := func(t *testing.T, run func(yield func(int, MeasuredCandidate) error) (*SQLStreamInfo, error)) *SQLMeasured {
 		next := 0
-		info, err := New(Options{Seed: 9, PoolWorkers: pool}).MeasureSQLStream(context.Background(), q, d, 0.05, 0.25,
-			func(idx int, c MeasuredCandidate) error {
+		got, err := CollectSQL(func(yield func(int, MeasuredCandidate) error) (*SQLStreamInfo, error) {
+			info, err := run(func(idx int, c MeasuredCandidate) error {
 				if idx != next {
-					t.Fatalf("pool=%d: yield idx %d, want %d", pool, idx, next)
+					t.Errorf("yield idx %d, want %d", idx, next)
 				}
 				next++
-				got = append(got, c)
-				return nil
+				return yield(idx, c)
 			})
+			if err == nil && info.Count != next {
+				t.Errorf("info.Count = %d after %d deliveries", info.Count, next)
+			}
+			return info, err
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Count != len(want.Candidates) || info.Derivations != want.Derivations {
-			t.Fatalf("pool=%d: info %d/%d, want %d/%d", pool,
-				info.Count, info.Derivations, len(want.Candidates), want.Derivations)
-		}
-		if len(info.NullIDs) != len(want.NullIDs) {
-			t.Fatalf("pool=%d: NullIDs len %d, want %d", pool, len(info.NullIDs), len(want.NullIDs))
-		}
-		if len(got) != len(want.Candidates) {
-			t.Fatalf("pool=%d: streamed %d candidates, want %d", pool, len(got), len(want.Candidates))
-		}
-		for i, c := range got {
-			w := want.Candidates[i]
-			if !c.Tuple.Equal(w.Tuple) || !realfmla.Equal(c.Phi, w.Phi) {
-				t.Fatalf("pool=%d: candidate %d diverged", pool, i)
+		return got
+	}
+
+	for _, sql := range []string{join + " LIMIT 8", join} {
+		q := sqlfront.MustParse(sql)
+		for _, noAdaptive := range []bool{false, true} {
+			want, err := New(Options{Seed: 9, PoolWorkers: 1, NoAdaptive: noAdaptive}).MeasureSQL(q, d, eps, delta)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if c.Measure.Value != w.Measure.Value || c.Measure.Method != w.Measure.Method ||
-				c.Measure.Samples != w.Measure.Samples {
-				t.Fatalf("pool=%d: candidate %d measure %+v, want %+v", pool, i, c.Measure, w.Measure)
+			if len(want.Candidates) == 0 {
+				t.Fatal("workload produced no candidates")
+			}
+			raced := q.Limit > 0 && !noAdaptive
+			if (want.Rounds > 0) != raced {
+				t.Fatalf("limit=%d noAdaptive=%v: %d race rounds", q.Limit, noAdaptive, want.Rounds)
+			}
+			for _, pool := range []int{0, 1, 2, 4} {
+				opts := Options{Seed: 9, PoolWorkers: pool, NoAdaptive: noAdaptive}
+				entries := map[string]func(t *testing.T) *SQLMeasured{
+					"MeasureSQL": func(t *testing.T) *SQLMeasured {
+						got, err := New(opts).MeasureSQL(q, d, eps, delta)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return got
+					},
+					"MeasureSQLStream": func(t *testing.T) *SQLMeasured {
+						return stream(t, func(yield func(int, MeasuredCandidate) error) (*SQLStreamInfo, error) {
+							return New(opts).MeasureSQLStream(context.Background(), q, d, eps, delta, yield)
+						})
+					},
+					"MeasureCandidatesStream": func(t *testing.T) *SQLMeasured {
+						e := New(opts)
+						p, err := plan.Build(q, d, e.PlanOptions())
+						if err != nil {
+							t.Fatal(err)
+						}
+						field := *p
+						if e.RaceApplies(p.Limit) {
+							field.Limit = 0 // the coordinator contract: the race ranks the whole field
+						}
+						res, _, err := exec.Aggregate(&field, d, e.ExecOptions(), nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return stream(t, func(yield func(int, MeasuredCandidate) error) (*SQLStreamInfo, error) {
+							return e.MeasureCandidatesStream(context.Background(), res, p.Limit, eps, delta, yield)
+						})
+					},
+				}
+				if !raced {
+					// MeasureBatch is the fixed budget over a formula list; the
+					// race's winners are not indexed by their position in it.
+					entries["MeasureBatch"] = func(t *testing.T) *SQLMeasured {
+						phis := make([]realfmla.Formula, len(want.Candidates))
+						for i, c := range want.Candidates {
+							phis[i] = c.Phi
+						}
+						results, errs := MeasureBatch(opts, phis, eps, delta)
+						got := *want
+						got.Candidates = make([]MeasuredCandidate, len(phis))
+						for i, c := range want.Candidates {
+							if errs[i] != nil {
+								t.Fatal(errs[i])
+							}
+							got.Candidates[i] = MeasuredCandidate{Tuple: c.Tuple, Phi: c.Phi, Measure: results[i]}
+						}
+						return &got
+					}
+				}
+				for name, entry := range entries {
+					t.Run(fmt.Sprintf("limit=%d/noAdaptive=%v/pool=%d/%s", q.Limit, noAdaptive, pool, name), func(t *testing.T) {
+						got := entry(t)
+						if got.Derivations != want.Derivations || got.SamplesDrawn != want.SamplesDrawn ||
+							got.Rounds != want.Rounds || len(got.NullIDs) != len(want.NullIDs) {
+							t.Fatalf("summary %d/%d/%d/%d, want %d/%d/%d/%d",
+								got.Derivations, got.SamplesDrawn, got.Rounds, len(got.NullIDs),
+								want.Derivations, want.SamplesDrawn, want.Rounds, len(want.NullIDs))
+						}
+						if len(got.Candidates) != len(want.Candidates) {
+							t.Fatalf("%d candidates, want %d", len(got.Candidates), len(want.Candidates))
+						}
+						for i, c := range got.Candidates {
+							w := want.Candidates[i]
+							if !c.Tuple.Equal(w.Tuple) || !realfmla.Equal(c.Phi, w.Phi) {
+								t.Fatalf("candidate %d diverged", i)
+							}
+							g, m := c.Measure, w.Measure
+							if math.Float64bits(g.Value) != math.Float64bits(m.Value) || g.Method != m.Method ||
+								g.Samples != m.Samples || g.SamplesDrawn != m.SamplesDrawn || g.Rounds != m.Rounds {
+								t.Fatalf("candidate %d measure %+v, want %+v", i, g, m)
+							}
+						}
+					})
+				}
 			}
 		}
 	}
@@ -103,28 +182,61 @@ func TestMeasureSQLStreamYieldError(t *testing.T) {
 	const failAt = 3
 	sentinel := errors.New("client went away")
 
-	type entry func(ctx context.Context, e *Engine, yield func(int, MeasuredCandidate) error) error
-	entries := map[string]entry{
-		"MeasureSQLStream": func(ctx context.Context, e *Engine, yield func(int, MeasuredCandidate) error) error {
-			_, err := e.MeasureSQLStream(ctx, q, d, 0.05, 0.25, yield)
-			return err
+	build := func(e *Engine) *plan.Plan {
+		p, err := plan.Build(q, d, e.PlanOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	aggregate := func(e *Engine) *exec.Result {
+		res, _, err := exec.Aggregate(build(e), d, e.ExecOptions(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Candidates) < 400 {
+			t.Fatalf("workload has %d candidates, want ≥ 400", len(res.Candidates))
+		}
+		return res
+	}
+	// A reference run says which candidates are decided without sampling:
+	// the measure-error rows fail every sampled one.
+	ref, err := New(Options{Seed: 3}).MeasureSQL(q, d, 0.05, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsampled := 0
+	for _, c := range ref.Candidates {
+		if c.Measure.Samples == 0 {
+			unsampled++
+		}
+	}
+
+	type yieldFunc = func(int, MeasuredCandidate) error
+	// Each entry point, and the source it hands the pipeline. No input
+	// that passes the entry points' validation makes MeasureFormula fail,
+	// so the measure-error rows run the pipeline over the source directly
+	// with an eps that fails every sampled candidate.
+	entries := map[string]struct {
+		stream func(ctx context.Context, e *Engine, yield yieldFunc) error
+		source func(e *Engine) candidateSource
+	}{
+		"MeasureSQLStream": {
+			func(ctx context.Context, e *Engine, yield yieldFunc) error {
+				_, err := e.MeasureSQLStream(ctx, q, d, 0.05, 0.25, yield)
+				return err
+			},
+			func(e *Engine) candidateSource { return e.fusedSource(build(e), d) },
 		},
-		"MeasureCandidatesStream": func(ctx context.Context, e *Engine, yield func(int, MeasuredCandidate) error) error {
-			p, err := plan.Build(q, d, e.PlanOptions())
-			if err != nil {
+		"MeasureCandidatesStream": {
+			func(ctx context.Context, e *Engine, yield yieldFunc) error {
+				_, err := e.MeasureCandidatesStream(ctx, aggregate(e), 0, 0.05, 0.25, yield)
 				return err
-			}
-			res, _, err := exec.Aggregate(p, d, e.ExecOptions(), nil)
-			if err != nil {
-				return err
-			}
-			if len(res.Candidates) < 400 {
-				t.Fatalf("workload has %d candidates, want ≥ 400", len(res.Candidates))
-			}
-			_, err = e.MeasureCandidatesStream(ctx, res, p.Limit, 0.05, 0.25, yield)
-			return err
+			},
+			func(e *Engine) candidateSource { return finishedSource(aggregate(e)) },
 		},
 	}
+	const badEps = 2
 	modes := []struct {
 		name string
 		want error
@@ -132,8 +244,9 @@ func TestMeasureSQLStreamYieldError(t *testing.T) {
 		{"yield-error", sentinel},
 		{"cancel-in-yield", context.Canceled},
 		{"pre-cancelled", context.Canceled},
+		{"measure-error", ValidateEps(badEps)},
 	}
-	for name, run := range entries {
+	for name, ent := range entries {
 		for _, mode := range modes {
 			for _, pool := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/%s/pool=%d", name, mode.name, pool), func(t *testing.T) {
@@ -142,11 +255,21 @@ func TestMeasureSQLStreamYieldError(t *testing.T) {
 					eng.UseKernels(kc)
 					ctx, cancel := context.WithCancel(context.Background())
 					defer cancel()
-					if mode.name == "pre-cancelled" {
+					run, budget := ent.stream, pool
+					switch mode.name {
+					case "pre-cancelled":
 						cancel()
+					case "measure-error":
+						run = func(ctx context.Context, e *Engine, yield yieldFunc) error {
+							_, err := e.measureCandidates(ctx, ent.source(e), 0, badEps, 0.25, yield)
+							return err
+						}
+						// No sampled candidate completes, and each worker can
+						// hold only one when the first of them fails.
+						budget += unsampled
 					}
-					// yield is never called concurrently with itself, so the
-					// counters need no lock of their own.
+					// yield runs on this goroutine only, so the counters need
+					// no lock.
 					calls, late, atFail := 0, 0, 0
 					err := run(ctx, eng, func(idx int, c MeasuredCandidate) error {
 						calls++
@@ -163,21 +286,28 @@ func TestMeasureSQLStreamYieldError(t *testing.T) {
 						}
 						return nil
 					})
-					if !errors.Is(err, mode.want) {
+					if err == nil || (!errors.Is(err, mode.want) && err.Error() != mode.want.Error()) {
 						t.Fatalf("err = %v, want %v", err, mode.want)
 					}
-					if mode.name == "pre-cancelled" {
+					switch mode.name {
+					case "pre-cancelled":
 						if calls != 0 {
 							t.Fatalf("yield called %d times under a cancelled context", calls)
 						}
-					} else if calls <= failAt {
-						t.Fatalf("yield called %d times, want > %d", calls, failAt)
+					case "measure-error":
+						if c := ref.Candidates[calls]; c.Measure.Samples == 0 {
+							t.Fatalf("delivery stopped at %d, before a sampled candidate", calls)
+						}
+					default:
+						if calls <= failAt {
+							t.Fatalf("yield called %d times, want > %d", calls, failAt)
+						}
 					}
 					if mode.name == "yield-error" && late != 0 {
 						t.Fatalf("%d deliveries after the failed yield", late)
 					}
-					if after := kernelCount(kc) - atFail; after > pool {
-						t.Fatalf("%d candidates measured after the run failed, want ≤ pool width %d", after, pool)
+					if after := kernelCount(kc) - atFail; after > budget {
+						t.Fatalf("%d candidates measured after the run failed, want ≤ %d", after, budget)
 					}
 				})
 			}

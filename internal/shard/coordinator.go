@@ -64,20 +64,12 @@ func (st *Store) MeasureSQLStream(ctx context.Context, eng *core.Engine, q *sqla
 	return eng.MeasureCandidatesStream(ctx, res, plans[0].Limit, eps, delta, yield)
 }
 
-// MeasureSQL is the buffered form of MeasureSQLStream, mirroring
-// core.Engine.MeasureSQL.
+// MeasureSQL is the buffered form of MeasureSQLStream, through the same
+// collector as core.Engine.MeasureSQL.
 func (st *Store) MeasureSQL(ctx context.Context, eng *core.Engine, q *sqlast.Query, eps, delta float64) (*core.SQLMeasured, error) {
-	out := &core.SQLMeasured{}
-	info, err := st.MeasureSQLStream(ctx, eng, q, eps, delta, func(idx int, c core.MeasuredCandidate) error {
-		out.Candidates = append(out.Candidates, c)
-		return nil
+	return core.CollectSQL(func(yield func(int, core.MeasuredCandidate) error) (*core.SQLStreamInfo, error) {
+		return st.MeasureSQLStream(ctx, eng, q, eps, delta, yield)
 	})
-	if err != nil {
-		return nil, err
-	}
-	out.NullIDs, out.Index, out.Derivations = info.NullIDs, info.Index, info.Derivations
-	out.SamplesDrawn, out.Rounds = info.SamplesDrawn, info.Rounds
-	return out, nil
 }
 
 // gatherView is Gather over an already-captured view (so the join path

@@ -103,8 +103,8 @@ type SQLStreamInfo = core.SQLStreamInfo
 // order, so callers can render top-k answers while enumeration and
 // measurement are still running. The delivered sequence is bit-identical
 // to MeasureSQL's Candidates slice; see Engine.MeasureSQLStream for the
-// yield contract (called sequentially from an internal goroutine) and
-// the cancellation semantics of ctx.
+// yield contract (called on the calling goroutine, in order) and the
+// error and cancellation semantics.
 func (s *Session) MeasureSQLStream(ctx context.Context, src string, eps, delta float64, yield func(idx int, c MeasuredSQLCandidate) error) (*SQLStreamInfo, error) {
 	q, err := ParseSQL(src)
 	if err != nil {
