@@ -101,24 +101,45 @@ func TestShardedServerInsertAndInfo(t *testing.T) {
 	}
 
 	// Post-write reads: the scattered rows measure bit-identically to the
-	// unsharded reference holding the same rows in the same order.
-	src := `SELECT M.seg FROM Market M WHERE M.rrp * M.dis > 2 LIMIT 5`
-	want, err := core.New(opts).MeasureSQL(sqlfront.MustParse(src), ref, 0.1, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.MeasureSQL(ctx, src, 0.1, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertParity(t, "post-insert", got, want)
-	for i, wc := range got.Candidates {
-		m, err := wc.Measure.Result()
+	// unsharded reference holding the same rows in the same order — a
+	// single-relation read and a join over the written relation, buffered
+	// and streamed.
+	for _, src := range []string{
+		`SELECT M.seg FROM Market M WHERE M.rrp * M.dis > 2 LIMIT 5`,
+		`SELECT P.seg FROM Products P, Market M
+			WHERE P.seg = M.seg AND P.rrp * P.dis <= M.rrp * M.dis LIMIT 6`,
+	} {
+		want, err := core.New(opts).MeasureSQL(sqlfront.MustParse(src), ref, 0.1, 0.25)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(m.Value) != math.Float64bits(want.Candidates[i].Measure.Value) {
-			t.Fatalf("candidate %d bits diverged after insert", i)
+		got, err := c.MeasureSQL(ctx, src, 0.1, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertParity(t, "post-insert", got, want)
+		for i, wc := range got.Candidates {
+			m, err := wc.Measure.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(m.Value) != math.Float64bits(want.Candidates[i].Measure.Value) {
+				t.Fatalf("candidate %d bits diverged after insert", i)
+			}
+		}
+		var streamed []wire.MeasuredCandidate
+		done, err := c.MeasureSQLStream(ctx, src, 0.1, 0.25, func(ev wire.Event) error {
+			streamed = append(streamed, *ev.Candidate)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done.Count != len(want.Candidates) || len(streamed) != len(want.Candidates) {
+			t.Fatalf("post-insert: streamed %d (done %d), want %d", len(streamed), done.Count, len(want.Candidates))
+		}
+		for i, wc := range streamed {
+			assertCandidateParity(t, "post-insert (stream)", i, wc, want.Candidates[i])
 		}
 	}
 }

@@ -189,10 +189,20 @@ func TestShardedStreamParity(t *testing.T) {
 	}
 }
 
+// fuzzJoinQueries are the joins TestShardParityFuzz draws from every
+// round; between them they read all three relations.
+var fuzzJoinQueries = []string{
+	parityQueries[4],
+	datagen.NeverKnowinglyUndersold,
+	datagen.UnfairDiscount,
+}
+
 // TestShardParityFuzz: randomized insert workload — mixed batches with
 // duplicates and fresh nulls land identically on a plain database and on
-// stores of every shard count; after every round, measured results must
-// stay bit-identical across all of them, under rotating worker configs.
+// stores of every shard count, in all three relations; after every
+// round, measured results — of one query drawn from parityQueries and
+// one join — must stay bit-identical across all of them, under rotating
+// worker configs.
 func TestShardParityFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	ref := salesFixture(t)
@@ -205,50 +215,69 @@ func TestShardParityFuzz(t *testing.T) {
 		}
 		stores[i] = st
 	}
-	randTuple := func() value.Tuple {
-		rrp := value.Num(float64(rng.Intn(200)) / 2)
+	numOrNull := func(v float64) value.Value {
 		if rng.Intn(3) == 0 {
-			rrp = ref.FreshNumNull()
+			return ref.FreshNumNull()
 		}
-		return value.Tuple{
-			value.Base(fmt.Sprintf("seg%d", rng.Intn(6))),
-			rrp,
-			value.Num(float64(rng.Intn(10)) / 10),
-		}
+		return value.Num(v)
 	}
+	seg := func() value.Value { return value.Base(fmt.Sprintf("seg%d", rng.Intn(6))) }
+	prod := func() value.Value { return value.Base(fmt.Sprintf("p%d", rng.Intn(90))) }
+	randTuple := map[string]func() value.Tuple{
+		"Market": func() value.Tuple {
+			return value.Tuple{seg(), numOrNull(float64(rng.Intn(200)) / 2), value.Num(float64(rng.Intn(10)) / 10)}
+		},
+		"Products": func() value.Tuple {
+			return value.Tuple{
+				prod(), seg(),
+				numOrNull(float64(rng.Intn(200)) / 2), numOrNull(0.5 + float64(rng.Intn(5))/10),
+			}
+		},
+		"Orders": func() value.Tuple {
+			return value.Tuple{
+				value.Base(fmt.Sprintf("o%d", rng.Intn(500))), prod(),
+				numOrNull(float64(1 + rng.Intn(50))), numOrNull(0.5 + float64(rng.Intn(20))/10),
+			}
+		},
+	}
+	rels := []string{"Market", "Products", "Orders", "Market"}
 	ctx := context.Background()
 	const rounds = 5
 	for round := 0; round < rounds; round++ {
-		for b := 0; b < 2; b++ {
+		for _, rel := range rels {
 			batch := make([]value.Tuple, 1+rng.Intn(3))
 			for j := range batch {
-				batch[j] = randTuple()
+				batch[j] = randTuple[rel]()
 				if j > 0 && rng.Intn(2) == 0 {
 					batch[j] = batch[0].Clone() // in-batch duplicate
 				}
 			}
-			if err := ref.InsertBatch("Market", batch); err != nil {
+			if err := ref.InsertBatch(rel, batch); err != nil {
 				t.Fatal(err)
 			}
 			for _, st := range stores {
-				if err := st.InsertBatch("Market", batch); err != nil {
+				if err := st.InsertBatch(rel, batch); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		qs := parityQueries[rng.Intn(len(parityQueries))]
-		q := sqlfront.MustParse(qs)
 		o := core.Options{Seed: int64(1 + round), PoolWorkers: round % 3, Workers: 1 + round%2}
-		want, err := core.New(o).MeasureSQL(q, ref, 0.12, 0.3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, st := range stores {
-			got, err := st.MeasureSQL(ctx, core.New(o), q, 0.12, 0.3)
+		for _, qs := range []string{
+			parityQueries[rng.Intn(len(parityQueries))],
+			fuzzJoinQueries[rng.Intn(len(fuzzJoinQueries))],
+		} {
+			q := sqlfront.MustParse(qs)
+			want, err := core.New(o).MeasureSQL(q, ref, 0.12, 0.3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertMeasuredEqual(t, fmt.Sprintf("round %d, shards %d, query %q", round, counts[i], qs), got, want)
+			for i, st := range stores {
+				got, err := st.MeasureSQL(ctx, core.New(o), q, 0.12, 0.3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertMeasuredEqual(t, fmt.Sprintf("round %d, shards %d, query %q", round, counts[i], qs), got, want)
+			}
 		}
 	}
 }

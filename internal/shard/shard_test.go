@@ -6,15 +6,19 @@ package shard_test
 // acceptance criterion — lives in parity_test.go.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/db"
 	"repro/internal/schema"
 	"repro/internal/shard"
+	"repro/internal/sqlfront"
 	"repro/internal/value"
 )
 
@@ -176,6 +180,159 @@ func TestGatherCachePerVersion(t *testing.T) {
 	}
 	if g3 == g1 || g3.Size() != 2 {
 		t.Fatal("gather did not refresh after a write")
+	}
+}
+
+// TestGatherExtendsPreviousGather: a gather after a write appends the
+// new rows to the merged database the previous gather left behind — its
+// version counts the gathers that found new rows, where a rebuild from
+// scratch would read 1 every time — and the snapshots handed out
+// earlier keep their contents.
+func TestGatherExtendsPreviousGather(t *testing.T) {
+	st, err := shard.New(twoColSchema(t), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := db.New(st.Schema())
+	var gathers []*db.Database
+	for i := 1; i <= 3; i++ {
+		batch := []value.Tuple{
+			{value.Base(fmt.Sprint("k", i)), value.Num(float64(i))},
+			{value.Base("n"), value.NullNum(100 + i)},
+		}
+		if err := st.InsertBatch("R", batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.InsertBatch("R", batch); err != nil {
+			t.Fatal(err)
+		}
+		g, err := st.Gather()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Version() != int64(i) {
+			t.Fatalf("gather %d: merged database at version %d, want %d (rebuilt instead of extended?)", i, g.Version(), i)
+		}
+		if got, want := dump(g), dump(ref); !reflect.DeepEqual(got, want) {
+			t.Fatalf("gather %d diverged\n got %v\nwant %v", i, got, want)
+		}
+		gathers = append(gathers, g)
+	}
+	for i, g := range gathers {
+		if g.Len("R") != 2*(i+1) || len(g.NumNulls()) != i+1 {
+			t.Fatalf("gather %d changed under later gathers: %d rows, nulls %v", i+1, g.Len("R"), g.NumNulls())
+		}
+	}
+}
+
+// TestGatherConcurrentWithWrites (meaningful under -race): readers
+// gather and measure while a writer commits batches alternately into
+// two relations. Every gathered snapshot must be a committed store
+// version — per relation an exact prefix of the insert order, the two
+// prefixes cut at the same batch boundary.
+func TestGatherConcurrentWithWrites(t *testing.T) {
+	cols := []schema.Column{{Name: "a", Type: schema.Base}, {Name: "x", Type: schema.Num}}
+	s := schema.MustNew(schema.MustRelation("R", cols...), schema.MustRelation("S", cols...))
+	st, err := shard.New(s, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Batch b holds 1+b%3 rows of relation rels[b%2]; rows[rel] is the
+	// reference insert order, lens[v] the relation lengths at version v.
+	const batches = 60
+	rels := []string{"R", "S"}
+	rows := map[string][]string{}
+	feed := make([][]value.Tuple, batches)
+	lens := make([][2]int, batches+1)
+	for b := range feed {
+		rel := rels[b%2]
+		for j := 0; j <= b%3; j++ {
+			tu := value.Tuple{value.Base(fmt.Sprint("k", b%7)), value.Num(float64(j))}
+			if (b+j)%4 == 0 {
+				tu[1] = value.NullNum(1000 + 10*b + j)
+			}
+			feed[b] = append(feed[b], tu)
+			rows[rel] = append(rows[rel], tu.String())
+		}
+		lens[b+1] = lens[b]
+		lens[b+1][b%2] += len(feed[b])
+	}
+	committed := func(r, s int) bool {
+		for _, l := range lens {
+			if l == [2]int{r, s} {
+				return true
+			}
+		}
+		return false
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 3)
+	reader := func(read func() (r, s int, err error)) {
+		defer wg.Done()
+		for stop := false; !stop; {
+			select {
+			case <-done:
+				stop = true // one more read, of the final state
+			default:
+			}
+			r, s, err := read()
+			if err == nil && !committed(r, s) {
+				err = fmt.Errorf("read saw %d R rows and %d S rows: not a committed version", r, s)
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+		}
+	}
+	gatherRead := func() (int, int, error) {
+		g, err := st.Gather()
+		if err != nil {
+			return 0, 0, err
+		}
+		for _, rel := range rels {
+			for i, tu := range g.Tuples(rel) {
+				if tu.String() != rows[rel][i] {
+					return 0, 0, fmt.Errorf("%s row %d is %v, want %s", rel, i, tu, rows[rel][i])
+				}
+			}
+		}
+		return g.Len("R"), g.Len("S"), nil
+	}
+	// A cross product's derivation count is |R|·|S| of the one snapshot
+	// the engine ran against.
+	q := sqlfront.MustParse(`SELECT R.a FROM R R, S S`)
+	measureRead := func() (int, int, error) {
+		res, err := st.MeasureSQL(context.Background(), core.New(core.Options{Seed: 3}), q, 0.25, 0.25)
+		if err != nil {
+			return 0, 0, err
+		}
+		for _, l := range lens {
+			if l[0]*l[1] == res.Derivations {
+				return l[0], l[1], nil
+			}
+		}
+		return 0, 0, fmt.Errorf("measure saw %d derivations: not a committed version", res.Derivations)
+	}
+	wg.Add(3)
+	go reader(gatherRead)
+	go reader(gatherRead)
+	go reader(measureRead)
+	for b, batch := range feed {
+		if err := st.InsertBatch(rels[b%2], batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if r, s, err := gatherRead(); err != nil || [2]int{r, s} != lens[batches] {
+		t.Fatalf("final gather: %d/%d rows (%v), want %v", r, s, err, lens[batches])
 	}
 }
 
