@@ -99,8 +99,8 @@ replica-check:
 	$(GO) test . -race -count=1 -run 'TestReplicaChaos'
 
 # shard-check is the sharding gauntlet (CI runs it as its own job): the
-# hash-sharded store and scatter-gather coordinator under -race — unit
-# placement/gather tests, the shard-count invariance suite (bit-identical
+# hash-sharded store under -race — unit placement/gather tests (gathers
+# racing a writer included), the shard-count invariance suite (bit-identical
 # results across N ∈ {1,2,4} and worker configurations, including the
 # LIMIT-k adaptive race and the randomized parity fuzz), the sharded
 # server e2e (buffered + streamed), and the fleet chaos harness: two

@@ -15,12 +15,13 @@
 //	arithdbd -gen 20000 -shards 4 # hash-shard across 4 in-process stores
 //
 // With -shards=N the database is hash-partitioned across N in-process
-// stores behind a deterministic scatter-gather coordinator
-// (internal/shard): inserts scatter by a stable content hash, reads fan
-// out and merge back into the global derivation order, and every
-// response stays bit-identical to the unsharded server. In-process
-// sharding is in-memory; for durable shards run one arithdbd -data-dir
-// per shard and route writes with the client's sharded router.
+// stores (internal/shard): inserts scatter by a stable content hash, and
+// reads are served from a merged copy that holds every row in insert
+// order, so every response stays bit-identical to the unsharded server.
+// The mode buys no read speed or memory — it exists for placement parity
+// with the client's sharded router (same hash, same per-shard contents).
+// In-process sharding is in-memory; for durable shards run one arithdbd
+// -data-dir per shard and route writes with that router.
 //
 // With -data-dir the server is durable: startup recovers the newest
 // checkpoint and replays the write-ahead log, every acknowledged insert
@@ -86,7 +87,7 @@ func main() {
 		noSync       = flag.Bool("no-sync", false, "skip the per-insert WAL fsync (benchmarks only: trades crash durability for throughput)")
 		noAdaptive   = flag.Bool("no-adaptive", false, "disable the adaptive top-k sampling race for LIMIT queries (fixed budget per candidate)")
 		replicaOf    = flag.String("replica-of", "", "run as a read replica of the primary at this base URL (requires -data-dir)")
-		shards       = flag.Int("shards", 0, "hash-shard the database across N in-process stores behind a scatter-gather coordinator (results stay bit-identical; incompatible with -data-dir/-replica-of)")
+		shards       = flag.Int("shards", 0, "hash-shard the database across N in-process stores, reads served from a merged copy (results stay bit-identical; incompatible with -data-dir/-replica-of)")
 	)
 	flag.Parse()
 

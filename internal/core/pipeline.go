@@ -17,7 +17,7 @@ import (
 // measure of certainty of its constraint" step (Section 9):
 //
 //	candidateSource → forEachItem (scheduler) → orderedYield (emitter)
-//	→ CollectSQL (the collector of the buffered entry points)
+//	→ collectSQL (the collector of the buffered entry points)
 //
 // Determinism: a measure is a pure function of (Options.Seed, candidate
 // index, formula, eps, delta); forEachItem seeds by index alone, so no
@@ -47,9 +47,9 @@ func (e *Engine) fusedSource(p *plan.Plan, d *db.Database) candidateSource {
 	}
 }
 
-// finishedSource is an already aggregated result — a scatter-gather
-// merge, or a caller that staged enumeration itself. The caller applied
-// the limit (see MeasureCandidatesStream).
+// finishedSource is an already aggregated result, from a caller that
+// staged enumeration itself. The caller applied the limit (see
+// MeasureCandidatesStream).
 func finishedSource(res *exec.Result) candidateSource {
 	return func(int, func() error, func(int, exec.Candidate)) (*exec.Result, []bool, error) {
 		return res, nil, nil

@@ -12,9 +12,12 @@ import (
 )
 
 // PlanOptions and ExecOptions derive the SQL pipeline configuration from
-// the engine options. They are exported so an external coordinator (the
-// sharded scatter-gather in internal/shard) can build per-shard plans and
-// run per-shard executors under exactly the toggles this engine would use.
+// the engine options. They are exported for a caller that stages the
+// pipeline itself (plan.Build, exec.Aggregate, MeasureCandidatesStream)
+// under exactly the toggles this engine would use. The one such caller is
+// the benchmark's staged re-build (benchmark/layers.go); the product has
+// none, so these, RaceApplies and MeasureCandidatesStream go when it
+// stops calling them.
 func (e *Engine) PlanOptions() plan.Options {
 	return plan.Options{
 		Reorder:             !e.opts.DisableJoinReorder,
@@ -32,9 +35,9 @@ func (e *Engine) ExecOptions() exec.Options {
 // configuration. Non-LIMIT queries, Options.NoAdaptive (the escape hatch
 // restoring the fixed-budget first-k-distinct semantics) and PreferFPRAS
 // (whose multiplicative-guarantee estimates have no racing theory here)
-// are measured at the fixed budget. A coordinator that aggregates
-// candidates itself must then aggregate the full field (enumerate with
-// LIMIT 0) before calling MeasureCandidatesStream with the limit.
+// are measured at the fixed budget. A caller that aggregates candidates
+// itself must then aggregate the full field (enumerate with LIMIT 0)
+// before calling MeasureCandidatesStream with the limit.
 func (e *Engine) RaceApplies(limit int) bool {
 	return limit > 0 && !e.opts.NoAdaptive && !e.opts.PreferFPRAS
 }
@@ -114,7 +117,7 @@ type SQLStreamInfo struct {
 // compile each candidate constraint once instead of once per call;
 // kernels are immutable, so sharing cannot change the measured values.
 //
-// MeasureSQL is the buffering collector (CollectSQL) over
+// MeasureSQL is the buffering collector (collectSQL) over
 // MeasureSQLStream, so the two are bit-identical by construction.
 func (e *Engine) MeasureSQL(q *sqlast.Query, d *db.Database, eps, delta float64) (*SQLMeasured, error) {
 	return e.MeasureSQLContext(context.Background(), q, d, eps, delta)
@@ -124,16 +127,14 @@ func (e *Engine) MeasureSQL(q *sqlast.Query, d *db.Database, eps, delta float64)
 // cancelled, remaining candidate measurements are skipped and the call
 // returns ctx.Err() (see MeasureSQLStream).
 func (e *Engine) MeasureSQLContext(ctx context.Context, q *sqlast.Query, d *db.Database, eps, delta float64) (*SQLMeasured, error) {
-	return CollectSQL(func(yield func(int, MeasuredCandidate) error) (*SQLStreamInfo, error) {
+	return collectSQL(func(yield func(int, MeasuredCandidate) error) (*SQLStreamInfo, error) {
 		return e.MeasureSQLStream(ctx, q, d, eps, delta, yield)
 	})
 }
 
-// CollectSQL buffers a candidate stream — MeasureSQLStream,
-// MeasureCandidatesStream, or a coordinator's stream built on them — into
-// the slice form: it is the one collector behind every buffered entry
-// point.
-func CollectSQL(stream func(yield func(int, MeasuredCandidate) error) (*SQLStreamInfo, error)) (*SQLMeasured, error) {
+// collectSQL buffers a candidate stream into the slice form: it is the
+// one collector behind every buffered entry point.
+func collectSQL(stream func(yield func(int, MeasuredCandidate) error) (*SQLStreamInfo, error)) (*SQLMeasured, error) {
 	out := &SQLMeasured{}
 	info, err := stream(func(_ int, c MeasuredCandidate) error {
 		out.Candidates = append(out.Candidates, c)
@@ -185,13 +186,12 @@ func (e *Engine) MeasureSQLStream(ctx context.Context, q *sqlast.Query, d *db.Da
 // MeasureCandidatesStream measures an already-aggregated candidate set
 // and delivers the results exactly as MeasureSQLStream would have for a
 // query with the given LIMIT — the same pipeline with enumeration
-// factored out, so a scatter-gather coordinator that reassembles the
-// global candidate stream from per-shard executors gets bit-identical
-// measures (candidates are seeded by their index in res.Candidates). The
-// aggregation contract: when RaceApplies(limit), res must hold the full
-// candidate field (aggregated without the limit) and the race delivers
-// the top-k winners; otherwise res must already have the limit applied
-// (first-k-distinct) and every candidate is measured.
+// factored out, so a caller that ran plan.Build and exec.Aggregate itself
+// gets bit-identical measures (candidates are seeded by their index in
+// res.Candidates). The aggregation contract: when RaceApplies(limit), res
+// must hold the full candidate field (aggregated without the limit) and
+// the race delivers the top-k winners; otherwise res must already have
+// the limit applied (first-k-distinct) and every candidate is measured.
 func (e *Engine) MeasureCandidatesStream(ctx context.Context, res *exec.Result, limit int, eps, delta float64, yield func(idx int, c MeasuredCandidate) error) (*SQLStreamInfo, error) {
 	if err := ValidateEpsDelta(eps, delta); err != nil {
 		return nil, err

@@ -36,7 +36,7 @@ func TestMeasureSQLStreamMatchesSlice(t *testing.T) {
 	// that indices are consecutive on the way.
 	stream := func(t *testing.T, run func(yield func(int, MeasuredCandidate) error) (*SQLStreamInfo, error)) *SQLMeasured {
 		next := 0
-		got, err := CollectSQL(func(yield func(int, MeasuredCandidate) error) (*SQLStreamInfo, error) {
+		got, err := collectSQL(func(yield func(int, MeasuredCandidate) error) (*SQLStreamInfo, error) {
 			info, err := run(func(idx int, c MeasuredCandidate) error {
 				if idx != next {
 					t.Errorf("yield idx %d, want %d", idx, next)
@@ -92,7 +92,7 @@ func TestMeasureSQLStreamMatchesSlice(t *testing.T) {
 						}
 						field := *p
 						if e.RaceApplies(p.Limit) {
-							field.Limit = 0 // the coordinator contract: the race ranks the whole field
+							field.Limit = 0 // the MeasureCandidatesStream contract: the race ranks the whole field
 						}
 						res, _, err := exec.Aggregate(&field, d, e.ExecOptions(), nil)
 						if err != nil {

@@ -61,12 +61,6 @@ type Options struct {
 	// query stops enumerating (the join space can be enormous) instead
 	// of running to completion for nobody.
 	Interrupt func() error
-	// TrackRows makes emitted derivations carry their bound row ordinals
-	// (Deriv.Rows) even on streaming (Identity) plans, where Run itself
-	// does not need them. The sharded scatter-gather coordinator uses
-	// the ordinals to merge per-shard derivation streams back into the
-	// global derivation order.
-	TrackRows bool
 }
 
 // Deriv is one derivation: a surviving join combination. Tuple is the
@@ -544,7 +538,7 @@ func (c *Cursor) emit() *Deriv {
 		}
 	}
 	var rows []int
-	if !c.p.Identity || c.opts.TrackRows { // Run's reorder sort (or a tracking consumer) reads Rows
+	if !c.p.Identity { // Run's reorder sort reads Rows
 		rows = make([]int, len(c.steps))
 		for s, o := range c.p.Order {
 			rows[o] = int(c.ords[s])

@@ -79,13 +79,14 @@ type Config struct {
 	// snapshot each; only admission-time reads observe the swap.
 	Source func() *db.Database
 	// Sharded, when set, serves a hash-sharded store instead of DB/
-	// Source: inserts scatter rows across the shards and measure
-	// queries run through the deterministic scatter-gather coordinator
-	// (results are bit-identical to an unsharded server holding the
-	// same rows — see internal/shard). Mutually exclusive with DB,
-	// Source, Durable, Replication and Replica: the in-process sharded
-	// store is in-memory, and durability/replication compose per shard
-	// at the fleet level (one arithdbd per shard) instead.
+	// Source: inserts scatter rows across the shards, and every read
+	// pins the store's gathered database — a merged copy holding the
+	// rows in insert order — so results are bit-identical to an
+	// unsharded server holding the same rows (see internal/shard).
+	// Mutually exclusive with DB, Source, Durable, Replication and
+	// Replica: the in-process sharded store is in-memory, and
+	// durability/replication compose per shard at the fleet level (one
+	// arithdbd per shard) instead.
 	Sharded *shard.Store
 	// Replication, when set, enables the primary-side replication
 	// endpoints (GET /v1/replication/checkpoint and /log) over the
@@ -272,23 +273,23 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// snapshot pins the database view one request runs against. In sharded
-// mode it is the gathered (merged, cached-per-version) snapshot — the
-// measure paths scatter instead and never call it.
-func (s *Server) snapshot() *db.Database {
+// snapshot pins the database view one request runs against; in sharded
+// mode that is the store's gathered database. A failed gather is a store
+// invariant failure, not a bad request: it is answered with a 500 here
+// and ok is false.
+func (s *Server) snapshot(w http.ResponseWriter) (d *db.Database, ok bool) {
 	if s.cfg.Sharded != nil {
 		g, err := s.cfg.Sharded.Gather()
 		if err != nil {
-			// Unreachable short of a store invariant failure (gather
-			// re-inserts already-validated rows); serve the schema shape.
-			return db.New(s.cfg.Sharded.Schema())
+			s.writeError(w, http.StatusInternalServerError, wire.CodeInternal, err.Error())
+			return nil, false
 		}
-		return g
+		return g, true
 	}
 	if s.cfg.Source != nil {
-		return s.cfg.Source().Snapshot()
+		return s.cfg.Source().Snapshot(), true
 	}
-	return s.cfg.DB.Snapshot()
+	return s.cfg.DB.Snapshot(), true
 }
 
 // ServeHTTP implements http.Handler.
@@ -380,7 +381,10 @@ func (s *Server) degraded() (string, bool) {
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	d := s.snapshot()
+	d, ok := s.snapshot(w)
+	if !ok {
+		return
+	}
 	info := wire.InfoResponse{
 		Tuples:    d.Size(),
 		BaseNulls: len(d.BaseNulls()),
@@ -547,13 +551,11 @@ func (s *Server) acquireSlot(w http.ResponseWriter, r *http.Request) (release fu
 // life, so concurrent inserts never shift the data under a running
 // query.
 func (s *Server) measureSQL(w http.ResponseWriter, r *http.Request, q *sqlast.Query, eps, delta float64) (*core.SQLMeasured, bool) {
-	var res *core.SQLMeasured
-	var err error
-	if s.cfg.Sharded != nil {
-		res, err = s.cfg.Sharded.MeasureSQL(r.Context(), s.engine(), q, eps, delta)
-	} else {
-		res, err = s.engine().MeasureSQLContext(r.Context(), q, s.snapshot(), eps, delta)
+	d, ok := s.snapshot(w)
+	if !ok {
+		return nil, false
 	}
+	res, err := s.engine().MeasureSQLContext(r.Context(), q, d, eps, delta)
 	switch {
 	case err == nil:
 		s.recordRun(res.SamplesDrawn, res.Rounds)
@@ -635,13 +637,11 @@ func (s *Server) streamMeasure(w http.ResponseWriter, r *http.Request, q *sqlast
 		}
 		return nil
 	}
-	var info *core.SQLStreamInfo
-	var err error
-	if s.cfg.Sharded != nil {
-		info, err = s.cfg.Sharded.MeasureSQLStream(ctx, s.engine(), q, eps, delta, deliver)
-	} else {
-		info, err = s.engine().MeasureSQLStream(ctx, q, s.snapshot(), eps, delta, deliver)
+	d, ok := s.snapshot(w)
+	if !ok {
+		return
 	}
+	info, err := s.engine().MeasureSQLStream(ctx, q, d, eps, delta, deliver)
 	if err != nil {
 		if !ew.started {
 			status, code := http.StatusBadRequest, wire.CodeBadRequest

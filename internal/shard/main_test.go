@@ -6,9 +6,9 @@ import (
 	"repro/internal/leakcheck"
 )
 
-// TestMain fails the package if any test leaves a goroutine behind:
-// the scatter-gather coordinator's per-shard workers must drain on
-// Close even when a shard is mid-query.
+// TestMain fails the package if any test leaves a goroutine behind: the
+// store starts none, and the engines it hands queries to must drain
+// their pool workers.
 func TestMain(m *testing.M) {
 	leakcheck.VerifyTestMain(m)
 }

@@ -2,8 +2,7 @@ package shard_test
 
 // Shard-count invariance — the PR's acceptance criterion. Every test
 // here asserts the strong form of the contract: for the same rows in the
-// same insert order, the sharded scatter-gather coordinator returns
-// results bit-identical (Float64bits of every measure, same derivation
+// same insert order, the sharded store returns results bit-identical (Float64bits of every measure, same derivation
 // and sampling counters) to the single-store pipeline, for every shard
 // count and every worker configuration, LIMIT-k adaptive racing
 // included.
@@ -36,9 +35,8 @@ func salesFixture(t testing.TB) *db.Database {
 	return d
 }
 
-// parityQueries covers the coordinator's paths: identity scans, filtered
-// scans, LIMIT-k through both the adaptive race and the fixed budget,
-// and a join (which routes through the gathered snapshot).
+// parityQueries covers identity scans, filtered scans, LIMIT-k through
+// both the adaptive race and the fixed budget, and a join.
 var parityQueries = []string{
 	`SELECT M.seg FROM Market M`,
 	`SELECT M.seg FROM Market M WHERE M.rrp * M.dis > 5`,

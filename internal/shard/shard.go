@@ -1,32 +1,37 @@
 // Package shard hash-partitions relations across N stores and serves
-// queries through a deterministic scatter-gather coordinator.
+// queries from one merged copy of them.
 //
 // Rows route to shards by a stable content hash at insert time (Hash):
-// equal tuples always land on the same shard, so per-shard duplicate
-// aggregation sees exactly the duplicates the single-store path would.
-// The coordinator keeps a per-relation routing log — the shard of every
-// row in global insert order — which lets it reassemble the exact
-// single-store state: Gather materializes the merged database with
-// every relation's rows in their original order, and the scatter-gather
-// query path (see coordinator.go) merges per-shard derivation streams
-// back into the global derivation order with a frontier walk. Results
-// are therefore bit-identical to an unsharded database holding the same
+// equal tuples always land on the same shard. The store keeps a
+// per-relation routing log — the shard of every row in global insert
+// order — which lets it reassemble the exact single-store state: Gather
+// returns the merged database with every relation's rows in their
+// original order, brought up to date by appending the rows the log
+// gained since the previous gather. Every query (MeasureSQL,
+// MeasureSQLStream) is the engine's own pipeline over that database, so
+// results are bit-identical to an unsharded database holding the same
 // rows, for every shard count.
 //
-// The store itself is an in-memory coordinator over in-process shard
-// databases (the `arithdbd -shards=N` topology). Durable sharding
-// composes at the fleet level instead: run one arithdbd per shard (its
-// own WAL and -replica-of chain) and route writes with client.Sharded,
-// which uses the same Hash.
+// The store is in-memory and in-process (the `arithdbd -shards=N`
+// topology), and it reads from a full merged copy: it buys no read
+// speed or memory over an unsharded server. What it is for is placement
+// parity with client.Sharded — the same Hash, the same per-shard
+// contents — and the routing-log merge a fleet-level gather would need.
+// Durable sharding composes at the fleet level: run one arithdbd per
+// shard (its own WAL and -replica-of chain) and route writes with
+// client.Sharded.
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/schema"
+	"repro/internal/sqlast"
 	"repro/internal/value"
 )
 
@@ -84,27 +89,30 @@ func ShardOf(t value.Tuple, n int) int {
 }
 
 // Store is an n-way hash-sharded database: writes scatter rows to
-// per-shard columnar stores, reads go through the deterministic
-// scatter-gather coordinator. A Store serializes its own writes; reads
-// (Gather, the coordinator, stats) are safe concurrently with writes —
-// they capture immutable per-shard snapshots under the store lock.
+// per-shard columnar stores, reads run over the gathered database. A
+// Store serializes its own writes; reads (Gather, the measure methods,
+// stats) are safe concurrently with writes — they capture immutable
+// per-shard snapshots under the store lock.
 type Store struct {
 	mu     sync.RWMutex
 	schema *schema.Schema
 	shards []*db.Database
 
 	// order is the routing log: per relation, the shard of every row in
-	// global insert order. It is what lets the gather side reassemble
-	// the exact single-store row order (and with it, bit-identical
-	// candidate enumeration) from the per-shard subsequences.
+	// global insert order. It is what lets Gather reassemble the exact
+	// single-store row order (and with it, bit-identical candidate
+	// enumeration) from the per-shard subsequences.
 	order map[string][]uint8
 
 	version int64
 
-	// gathered caches the merged snapshot (see Gather); gatheredAt is
-	// the store version it was built at.
-	gathered   *db.Database
-	gatheredAt int64
+	// merged is the gathered database: per relation, a prefix of the
+	// routing log's rows in log order. Gather appends what the log has
+	// gained and publishes a snapshot; gatherMu serializes the gathers
+	// (merged's only writers), apart from st.mu so that merging never
+	// blocks a write.
+	gatherMu sync.Mutex
+	merged   *db.Database
 }
 
 // maxShards bounds the fan-out; the routing log stores shard ids as
@@ -116,7 +124,7 @@ func New(s *schema.Schema, n int) (*Store, error) {
 	if n < 1 || n > maxShards {
 		return nil, fmt.Errorf("shard: shard count %d out of range [1,%d]", n, maxShards)
 	}
-	st := &Store{schema: s, shards: make([]*db.Database, n), order: make(map[string][]uint8)}
+	st := &Store{schema: s, shards: make([]*db.Database, n), order: make(map[string][]uint8), merged: db.New(s)}
 	for i := range st.shards {
 		st.shards[i] = db.New(s)
 	}
@@ -234,9 +242,8 @@ func (st *Store) InsertBatch(rel string, tuples []value.Tuple) error {
 // snapshots plus the routing log headers, captured together under the
 // store lock.
 type view struct {
-	shards  []*db.Database
-	order   map[string][]uint8
-	version int64
+	shards []*db.Database
+	order  map[string][]uint8
 }
 
 // snapshotView captures a consistent view for readers. The routing-log
@@ -247,9 +254,8 @@ func (st *Store) snapshotView() view {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	v := view{
-		shards:  make([]*db.Database, len(st.shards)),
-		order:   make(map[string][]uint8, len(st.order)),
-		version: st.version,
+		shards: make([]*db.Database, len(st.shards)),
+		order:  make(map[string][]uint8, len(st.order)),
 	}
 	for i, d := range st.shards {
 		v.shards[i] = d.Snapshot()
@@ -260,49 +266,65 @@ func (st *Store) snapshotView() view {
 	return v
 }
 
-// Gather materializes the merged database: every relation's rows in
-// their original global insert order, exactly as an unsharded database
-// receiving the same inserts would hold them. The result is an
-// immutable snapshot, cached per store version, and is the reference
-// the scatter-gather results are bit-identical to; the coordinator also
-// runs multi-relation (join) plans over it directly.
+// Gather returns the merged database: every relation's rows in their
+// original global insert order, exactly as an unsharded database
+// receiving the same inserts would hold them. The result is an immutable
+// snapshot of one committed store version; an unchanged store returns
+// the same snapshot again.
+//
+// A gather costs the rows inserted since the previous one, not the
+// store: it appends the routing log's new suffix to the long-lived
+// merged database, whose equality indexes and null inventories db
+// maintains incrementally, and publishes a copy-on-write snapshot.
 func (st *Store) Gather() (*db.Database, error) {
-	st.mu.RLock()
-	if st.gathered != nil && st.gatheredAt == st.version {
-		g := st.gathered
-		st.mu.RUnlock()
-		return g, nil
-	}
-	st.mu.RUnlock()
-
+	st.gatherMu.Lock()
+	defer st.gatherMu.Unlock()
 	v := st.snapshotView()
-	g := db.New(st.schema)
 	for _, r := range st.schema.Relations() {
-		o := v.order[r.Name]
-		if len(o) == 0 {
+		suffix := v.order[r.Name][st.merged.Len(r.Name):]
+		if len(suffix) == 0 {
 			continue
 		}
-		perShard := make([][]value.Tuple, len(v.shards))
-		for s, d := range v.shards {
-			perShard[s] = d.Tuples(r.Name)
-		}
+		// A shard's rows are a subsequence of the log, so its unmerged
+		// rows are its last ones: count back from its length.
 		next := make([]int, len(v.shards))
-		merged := make([]value.Tuple, len(o))
-		for i, s := range o {
-			merged[i] = perShard[s][next[s]]
+		for s, d := range v.shards {
+			next[s] = d.Len(r.Name)
+		}
+		for _, s := range suffix {
+			next[s]--
+		}
+		rows := make([]value.Tuple, len(suffix))
+		for i, s := range suffix {
+			rows[i] = v.shards[s].Row(r.Name, next[s])
 			next[s]++
 		}
-		if err := g.InsertBatch(r.Name, merged); err != nil {
+		if err := st.merged.InsertBatch(r.Name, rows); err != nil {
 			return nil, fmt.Errorf("shard: gather %s: %w", r.Name, err)
 		}
 	}
-	snap := g.Snapshot()
+	return st.merged.Snapshot(), nil
+}
 
-	st.mu.Lock()
-	// Cache only if no write landed while we were merging.
-	if v.version == st.version {
-		st.gathered, st.gatheredAt = snap, v.version
+// MeasureSQLStream runs a query over the gathered database and streams
+// measured candidates to yield in candidate order: it is
+// core.Engine.MeasureSQLStream, contract and bits, over an unsharded
+// database holding the same rows in the same insert order. The engine
+// carries the caller's toggles and compiled-kernel cache and must not be
+// used concurrently, exactly as with its own methods.
+func (st *Store) MeasureSQLStream(ctx context.Context, eng *core.Engine, q *sqlast.Query, eps, delta float64, yield func(idx int, c core.MeasuredCandidate) error) (*core.SQLStreamInfo, error) {
+	g, err := st.Gather()
+	if err != nil {
+		return nil, err
 	}
-	st.mu.Unlock()
-	return snap, nil
+	return eng.MeasureSQLStream(ctx, q, g, eps, delta, yield)
+}
+
+// MeasureSQL is the buffered form of MeasureSQLStream.
+func (st *Store) MeasureSQL(ctx context.Context, eng *core.Engine, q *sqlast.Query, eps, delta float64) (*core.SQLMeasured, error) {
+	g, err := st.Gather()
+	if err != nil {
+		return nil, err
+	}
+	return eng.MeasureSQLContext(ctx, q, g, eps, delta)
 }

@@ -2,7 +2,7 @@ package shard_test
 
 // Unit tests of the sharded store: routing stability, scatter/gather
 // parity with a single store, routing-log order preservation, and the
-// per-version gather cache. The shard-count invariance fuzz — the PR's
+// incrementally extended gather. The shard-count invariance fuzz — the PR's
 // acceptance criterion — lives in parity_test.go.
 
 import (

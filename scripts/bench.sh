@@ -26,10 +26,11 @@
 #   - BenchmarkReplicaCatchup: a cold replica bootstrapping from the
 #     primary's checkpoint and replaying a 50-batch backlog over HTTP
 #     log shipping (internal/replica), so catchup latency stays visible;
-#   - BenchmarkShardedScatterGather: the hash-sharded scatter-gather
-#     coordinator (internal/shard) vs the single-store pipeline on the
-#     same query, so the per-shard fan-out/merge overhead stays visible
-#     (allocs/op guarded by scripts/alloc_check.sh).
+#   - BenchmarkShardedScatterGather: the hash-sharded store
+#     (internal/shard) vs the single-store pipeline on the same query,
+#     and an insert-then-join on both, so what serving from the gathered
+#     copy costs stays visible (allocs/op guarded by
+#     scripts/alloc_check.sh).
 #
 # Usage: scripts/bench.sh [bench-regexp] [benchtime]
 #   scripts/bench.sh                 # the default family below, -benchtime 1s
