@@ -2,10 +2,10 @@ package shard_test
 
 // Shard-count invariance — the PR's acceptance criterion. Every test
 // here asserts the strong form of the contract: for the same rows in the
-// same insert order, the sharded store returns results bit-identical (Float64bits of every measure, same derivation
-// and sampling counters) to the single-store pipeline, for every shard
-// count and every worker configuration, LIMIT-k adaptive racing
-// included.
+// same insert order, the sharded store returns results bit-identical
+// (Float64bits of every measure, same derivation and sampling counters)
+// to the single-store pipeline, for every shard count and every worker
+// configuration, LIMIT-k adaptive racing included.
 
 import (
 	"context"

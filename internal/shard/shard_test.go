@@ -2,8 +2,8 @@ package shard_test
 
 // Unit tests of the sharded store: routing stability, scatter/gather
 // parity with a single store, routing-log order preservation, and the
-// incrementally extended gather. The shard-count invariance fuzz — the PR's
-// acceptance criterion — lives in parity_test.go.
+// incrementally extended gather. The shard-count invariance fuzz — the
+// PR's acceptance criterion — lives in parity_test.go.
 
 import (
 	"context"
@@ -257,72 +257,69 @@ func TestGatherConcurrentWithWrites(t *testing.T) {
 		lens[b+1] = lens[b]
 		lens[b+1][b%2] += len(feed[b])
 	}
-	committed := func(r, s int) bool {
+	committed := func(r, s int) error {
 		for _, l := range lens {
 			if l == [2]int{r, s} {
-				return true
+				return nil
 			}
 		}
-		return false
+		return fmt.Errorf("read saw %d R rows and %d S rows: not a committed version", r, s)
 	}
-
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	errs := make(chan error, 3)
-	reader := func(read func() (r, s int, err error)) {
-		defer wg.Done()
-		for stop := false; !stop; {
-			select {
-			case <-done:
-				stop = true // one more read, of the final state
-			default:
-			}
-			r, s, err := read()
-			if err == nil && !committed(r, s) {
-				err = fmt.Errorf("read saw %d R rows and %d S rows: not a committed version", r, s)
-			}
-			if err != nil {
-				errs <- err
-				return
-			}
-		}
-	}
-	gatherRead := func() (int, int, error) {
+	gatherRead := func() error {
 		g, err := st.Gather()
 		if err != nil {
-			return 0, 0, err
+			return err
 		}
 		for _, rel := range rels {
 			for i, tu := range g.Tuples(rel) {
 				if tu.String() != rows[rel][i] {
-					return 0, 0, fmt.Errorf("%s row %d is %v, want %s", rel, i, tu, rows[rel][i])
+					return fmt.Errorf("%s row %d is %v, want %s", rel, i, tu, rows[rel][i])
 				}
 			}
 		}
-		return g.Len("R"), g.Len("S"), nil
+		return committed(g.Len("R"), g.Len("S"))
 	}
 	// A cross product's derivation count is |R|·|S| of the one snapshot
 	// the engine ran against.
 	q := sqlfront.MustParse(`SELECT R.a FROM R R, S S`)
-	measureRead := func() (int, int, error) {
+	measureRead := func() error {
 		res, err := st.MeasureSQL(context.Background(), core.New(core.Options{Seed: 3}), q, 0.25, 0.25)
 		if err != nil {
-			return 0, 0, err
+			return err
 		}
 		for _, l := range lens {
 			if l[0]*l[1] == res.Derivations {
-				return l[0], l[1], nil
+				return nil
 			}
 		}
-		return 0, 0, fmt.Errorf("measure saw %d derivations: not a committed version", res.Derivations)
+		return fmt.Errorf("measure saw %d derivations: not a committed version", res.Derivations)
 	}
-	wg.Add(3)
-	go reader(gatherRead)
-	go reader(gatherRead)
-	go reader(measureRead)
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	reads := []func() error{gatherRead, gatherRead, measureRead}
+	errs := make(chan error, len(reads))
+	for _, read := range reads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for stop := false; !stop; {
+				select {
+				case <-done:
+					stop = true // one more read, of the final state
+				default:
+				}
+				if err := read(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
 	for b, batch := range feed {
 		if err := st.InsertBatch(rels[b%2], batch); err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			break
 		}
 	}
 	close(done)
@@ -331,8 +328,8 @@ func TestGatherConcurrentWithWrites(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if r, s, err := gatherRead(); err != nil || [2]int{r, s} != lens[batches] {
-		t.Fatalf("final gather: %d/%d rows (%v), want %v", r, s, err, lens[batches])
+	if g, err := st.Gather(); err != nil || [2]int{g.Len("R"), g.Len("S")} != lens[batches] {
+		t.Fatalf("final gather: %v, want %v rows", err, lens[batches])
 	}
 }
 
