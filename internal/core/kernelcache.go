@@ -13,7 +13,11 @@ import (
 // deterministic seeding, and without sharing every one of those engines
 // would re-reduce and re-compile its formula from scratch on every call.
 // The cache lives on the pool owner, so repeated MeasureSQL calls and
-// ε-sweeps skip recompilation entirely.
+// ε-sweeps skip recompilation entirely. A miss (newKernel: Reduce, then
+// Compile) costs in proportion to the formula's size, tens of
+// microseconds on a Figure-1 candidate whatever the database's null
+// count, so the cache saves per-formula work and allocation, not a scan
+// of the database.
 //
 // Sharing kernels cannot change results: compilation is a deterministic
 // pure function of the formula, kernels are immutable, and all sampling

@@ -12,7 +12,7 @@ package poly
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -393,34 +393,31 @@ func (p Poly) DropConstant() Poly {
 	return Poly{N: p.N, Terms: ts}
 }
 
-// VarsUsed reports which variables occur with nonzero exponent in p.
-func (p Poly) VarsUsed() []bool {
-	used := make([]bool, p.N)
+// RenameVars re-embeds p into a ring with len(vars) variables, sending
+// variable vars[j] to j. vars must be sorted and duplicate-free, so the
+// renaming keeps every monomial's variables in order; the method panics if
+// p uses a variable vars does not list. It costs O(|p| log |vars|),
+// independent of p.N.
+func (p Poly) RenameVars(vars []int) Poly {
+	n := 0
 	for _, t := range p.Terms {
-		for _, v := range t.Vars {
-			used[v.Var] = true
-		}
+		n += len(t.Vars)
 	}
-	return used
-}
-
-// RenameVars re-embeds p into a ring with newN variables, sending variable
-// i to mapping[i]. A mapping entry of -1 asserts the variable is unused in
-// p; the method panics otherwise.
-func (p Poly) RenameVars(mapping []int, newN int) Poly {
+	flat := make([]VarPow, n)
 	ts := make([]Term, len(p.Terms))
 	for ti, t := range p.Terms {
-		vs := make([]VarPow, len(t.Vars))
+		vs := flat[:len(t.Vars):len(t.Vars)]
+		flat = flat[len(t.Vars):]
 		for i, v := range t.Vars {
-			if mapping[v.Var] < 0 {
+			j, ok := slices.BinarySearch(vars, v.Var)
+			if !ok {
 				panic(fmt.Sprintf("poly: RenameVars drops used variable z%d", v.Var))
 			}
-			vs[i] = VarPow{Var: mapping[v.Var], Pow: v.Pow}
+			vs[i] = VarPow{Var: j, Pow: v.Pow}
 		}
-		sort.Slice(vs, func(a, b int) bool { return vs[a].Var < vs[b].Var })
 		ts[ti] = Term{Coef: t.Coef, Vars: vs}
 	}
-	return normalize(newN, ts)
+	return normalize(len(vars), ts)
 }
 
 // Equal reports syntactic equality of normalized polynomials.
@@ -438,20 +435,6 @@ func (p Poly) Equal(q Poly) bool {
 		}
 	}
 	return true
-}
-
-// Key returns a canonical string identifying the polynomial, usable for
-// deduplication.
-func (p Poly) Key() string {
-	var b strings.Builder
-	for _, t := range p.Terms {
-		fmt.Fprintf(&b, "%x", math.Float64bits(t.Coef))
-		for _, v := range t.Vars {
-			fmt.Fprintf(&b, ",%d^%d", v.Var, v.Pow)
-		}
-		b.WriteByte(';')
-	}
-	return b.String()
 }
 
 // String renders the polynomial with variables named z0..z{N-1}.

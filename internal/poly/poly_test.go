@@ -228,3 +228,19 @@ func TestArityMismatchPanics(t *testing.T) {
 	}()
 	Var(2, 0).Add(Var(3, 0))
 }
+
+// TestRenameVars: variable vars[j] becomes j in a ring of len(vars)
+// variables, and a used variable missing from vars panics.
+func TestRenameVars(t *testing.T) {
+	p := Var(5000, 17).Mul(Var(5000, 4093)).Mul(Var(5000, 4093)).Add(Var(5000, 9).Scale(3)).Add(Const(5000, 2))
+	want := Var(3, 1).Mul(Var(3, 2)).Mul(Var(3, 2)).Add(Var(3, 0).Scale(3)).Add(Const(3, 2))
+	if got := p.RenameVars([]int{9, 17, 4093}); !got.Equal(want) {
+		t.Fatalf("RenameVars = %s, want %s", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic when vars drops a used variable")
+		}
+	}()
+	p.RenameVars([]int{9, 4093})
+}

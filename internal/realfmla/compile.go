@@ -2,7 +2,6 @@ package realfmla
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/poly"
 )
@@ -103,7 +102,7 @@ type cnode struct {
 // Compile preprocesses a formula.
 func Compile(f Formula) *Compiled {
 	c := &Compiled{}
-	index := make(map[string]int)
+	index := make(map[uint64]int)
 	c.root = c.build(f, index)
 	if len(c.atoms) > 0 {
 		c.n = c.atoms[0].P.N
@@ -171,28 +170,34 @@ func (c *Compiled) packCascade(m *atomMeta, p poly.Poly, deg int) {
 	m.lvlEnd = int32(len(c.termOff))
 }
 
-func atomKey(a Atom) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|", a.Rel)
-	b.WriteString(a.P.Key())
-	return b.String()
+// intern returns a's index in c.atoms, appending it on first occurrence.
+// index maps an atom's word hash to the atom stored under it. A hit counts
+// only if the relation and the polynomial are Equal; on a collision the
+// probe moves to the next hash value, so distinct atoms never merge.
+func (c *Compiled) intern(a Atom, index map[uint64]int) int {
+	h := newFPHash()
+	h.atom(a)
+	for key := h.a; ; key++ {
+		i, ok := index[key]
+		if !ok {
+			index[key] = len(c.atoms)
+			c.atoms = append(c.atoms, a)
+			return len(c.atoms) - 1
+		}
+		if c.atoms[i].Rel == a.Rel && c.atoms[i].P.Equal(a.P) {
+			return i
+		}
+	}
 }
 
-func (c *Compiled) build(f Formula, index map[string]int) cnode {
+func (c *Compiled) build(f Formula, index map[uint64]int) cnode {
 	switch g := f.(type) {
 	case FTrue:
 		return cnode{kind: cTrue}
 	case FFalse:
 		return cnode{kind: cFalse}
 	case FAtom:
-		key := atomKey(g.A)
-		i, ok := index[key]
-		if !ok {
-			i = len(c.atoms)
-			c.atoms = append(c.atoms, g.A)
-			index[key] = i
-		}
-		return cnode{kind: cAtom, atom: i}
+		return cnode{kind: cAtom, atom: c.intern(g.A, index)}
 	case FNot:
 		return cnode{kind: cNot, kids: []cnode{c.build(g.F, index)}}
 	case FAnd:

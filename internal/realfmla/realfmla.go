@@ -298,25 +298,35 @@ func AsymEval(f Formula, dir []float64, tol float64) bool {
 // Atoms returns all atoms of the formula (with multiplicity).
 func Atoms(f Formula) []Atom {
 	var out []Atom
-	var walk func(Formula)
-	walk = func(f Formula) {
-		switch g := f.(type) {
-		case FAtom:
-			out = append(out, g.A)
-		case FNot:
-			walk(g.F)
-		case FAnd:
-			for _, h := range g.Fs {
-				walk(h)
+	walkAtoms(f, func(a Atom) bool {
+		out = append(out, a)
+		return true
+	})
+	return out
+}
+
+// walkAtoms calls fn on the atoms of f, left to right, until fn returns
+// false; it reports whether the walk ran to the end.
+func walkAtoms(f Formula, fn func(Atom) bool) bool {
+	switch g := f.(type) {
+	case FAtom:
+		return fn(g.A)
+	case FNot:
+		return walkAtoms(g.F, fn)
+	case FAnd:
+		for _, h := range g.Fs {
+			if !walkAtoms(h, fn) {
+				return false
 			}
-		case FOr:
-			for _, h := range g.Fs {
-				walk(h)
+		}
+	case FOr:
+		for _, h := range g.Fs {
+			if !walkAtoms(h, fn) {
+				return false
 			}
 		}
 	}
-	walk(f)
-	return out
+	return true
 }
 
 // FormulaID is a 128-bit structural fingerprint of a formula's syntax
@@ -370,13 +380,15 @@ func Equal(a, b Formula) bool {
 // Fingerprint computes the FormulaID of f without allocating — unlike a
 // canonical string key, it can run once per measure call on hot paths.
 func Fingerprint(f Formula) FormulaID {
-	h := fpHash{a: 1469598103934665603, b: 0x9ae16a3b2f90404f}
+	h := newFPHash()
 	h.formula(f)
 	return FormulaID{h.a, h.b}
 }
 
 // fpHash runs two independent word-wise FNV-style streams.
 type fpHash struct{ a, b uint64 }
+
+func newFPHash() fpHash { return fpHash{a: 1469598103934665603, b: 0x9ae16a3b2f90404f} }
 
 func (h *fpHash) word(w uint64) {
 	h.a = (h.a ^ w) * 1099511628211
@@ -391,17 +403,7 @@ func (h *fpHash) formula(f Formula) {
 		h.word(2)
 	case FAtom:
 		h.word(3)
-		h.word(uint64(g.A.Rel))
-		h.word(uint64(g.A.P.N))
-		h.word(uint64(len(g.A.P.Terms)))
-		for _, t := range g.A.P.Terms {
-			h.word(math.Float64bits(t.Coef))
-			h.word(uint64(len(t.Vars)))
-			for _, v := range t.Vars {
-				h.word(uint64(v.Var))
-				h.word(uint64(v.Pow))
-			}
-		}
+		h.atom(g.A)
 	case FNot:
 		h.word(4)
 		h.formula(g.F)
@@ -422,24 +424,36 @@ func (h *fpHash) formula(f Formula) {
 	}
 }
 
-// NumVars returns the number of variables of the ambient polynomial ring
-// (0 if the formula has no atoms).
-func NumVars(f Formula) int {
-	as := Atoms(f)
-	if len(as) == 0 {
-		return 0
+// atom hashes an atom's relation, arity and terms; Compile dedupes atoms
+// by it.
+func (h *fpHash) atom(a Atom) {
+	h.word(uint64(a.Rel))
+	h.word(uint64(a.P.N))
+	h.word(uint64(len(a.P.Terms)))
+	for _, t := range a.P.Terms {
+		h.word(math.Float64bits(t.Coef))
+		h.word(uint64(len(t.Vars)))
+		for _, v := range t.Vars {
+			h.word(uint64(v.Var))
+			h.word(uint64(v.Pow))
+		}
 	}
-	return as[0].P.N
+}
+
+// NumVars returns the number of variables of the ambient polynomial ring,
+// read from the first atom (0 if the formula has no atoms).
+func NumVars(f Formula) int {
+	n := 0
+	walkAtoms(f, func(a Atom) bool {
+		n = a.P.N
+		return false
+	})
+	return n
 }
 
 // IsLinear reports whether every atom's polynomial is linear.
 func IsLinear(f Formula) bool {
-	for _, a := range Atoms(f) {
-		if !a.P.IsLinear() {
-			return false
-		}
-	}
-	return true
+	return walkAtoms(f, func(a Atom) bool { return a.P.IsLinear() })
 }
 
 // NNF pushes negations to the atoms (which absorb them by flipping the

@@ -1,5 +1,7 @@
 package realfmla
 
+import "slices"
+
 // MapAtoms rebuilds the formula with every atom transformed by fn (which
 // may also fold an atom to FTrue/FFalse).
 func MapAtoms(f Formula, fn func(Atom) Formula) Formula {
@@ -26,47 +28,41 @@ func MapAtoms(f Formula, fn func(Atom) Formula) Formula {
 	panic("realfmla: unknown node")
 }
 
-// UsedVars reports which of the n ambient variables occur in some atom of
-// f. The ambient arity is taken from the first atom; formulas without
-// atoms use 0 variables.
-func UsedVars(f Formula) []bool {
-	n := NumVars(f)
-	used := make([]bool, n)
-	for _, a := range Atoms(f) {
-		for i, u := range a.P.VarsUsed() {
-			if u {
-				used[i] = true
-			}
-		}
-	}
-	return used
-}
-
 // Reduce re-embeds the formula into the smallest variable space: variables
 // not occurring in any atom are dropped. It returns the reduced formula and
 // the list of original variable indices, in order (vars[j] is the original
-// index of reduced variable j).
+// index of reduced variable j), nil when no atom mentions a variable.
 //
 // This implements the partial-sampling optimization of the paper's Section
 // 9: μ only depends on the nulls that actually affect the query, because
 // the satisfying set is a cylinder over the irrelevant coordinates and the
 // direction-fraction measure ν is invariant under cylinder extension.
+//
+// Reduce costs O(|φ| log |φ|) in the size of the formula: it collects the
+// variable occurrences of the atoms, sorts and dedupes them, and renames
+// each by binary search. Nothing in it depends on the ambient arity
+// NumVars(f) — the database's null count, thousands on the Figure-1
+// database, where a candidate's formula mentions a handful.
 func Reduce(f Formula) (Formula, []int) {
-	used := UsedVars(f)
-	var vars []int
-	mapping := make([]int, len(used))
-	for i := range mapping {
-		mapping[i] = -1
-	}
-	for i, u := range used {
-		if u {
-			mapping[i] = len(vars)
-			vars = append(vars, i)
+	// A candidate's occurrences usually fit on the stack; vars is copied
+	// out at its deduplicated length.
+	var buf [64]int
+	used := buf[:0]
+	walkAtoms(f, func(a Atom) bool {
+		for _, t := range a.P.Terms {
+			for _, v := range t.Vars {
+				used = append(used, v.Var)
+			}
 		}
+		return true
+	})
+	slices.Sort(used)
+	var vars []int
+	if used = slices.Compact(used); len(used) > 0 {
+		vars = append(vars, used...)
 	}
-	newN := len(vars)
 	g := MapAtoms(f, func(a Atom) Formula {
-		return FAtom{Atom{P: a.P.RenameVars(mapping, newN), Rel: a.Rel}}
+		return FAtom{Atom{P: a.P.RenameVars(vars), Rel: a.Rel}}
 	})
 	return g, vars
 }

@@ -181,3 +181,78 @@ func TestReduceMatchesKScan(t *testing.T) {
 		}
 	}
 }
+
+// reduceFixture is shaped like a Figure-1 candidate constraint: a
+// disjunction of five derivations, each a conjunction of four atoms (a
+// linear comparison, a product of two nulls, a scaled difference, a
+// constant), over the live variables embedded among n ambient ones.
+func reduceFixture(n int, live []int) Formula {
+	z := func(i int) poly.Poly { return poly.Var(n, live[i%len(live)]) }
+	ders := make([]Formula, 5)
+	for d := range ders {
+		ders[d] = And(
+			FAtom{Atom{P: z(d).Sub(z(d + 1)).Add(poly.Const(n, float64(d))), Rel: LE}},
+			FAtom{Atom{P: z(d).Mul(z(d + 2)).Sub(poly.Const(n, 50)), Rel: LT}},
+			FAtom{Atom{P: z(d + 1).Scale(0.9).Sub(z(d + 3)), Rel: GT}},
+			FAtom{Atom{P: poly.Const(n, float64(d-2)), Rel: NE}},
+		)
+	}
+	return Or(ders...)
+}
+
+// TestReduceAllocsIndependentOfArity guards against the K-scan coming
+// back: one formula embedded among 8 and among 1<<20 ambient variables
+// must cost Reduce the same bytes per call (the K-scan allocated three
+// arity-long arrays, one of them per atom).
+func TestReduceAllocsIndependentOfArity(t *testing.T) {
+	live := []int{1, 3, 4, 6, 7}
+	bytesAt := func(n int) int64 {
+		f := reduceFixture(n, live)
+		return testing.Benchmark(func(b *testing.B) {
+			for b.Loop() {
+				Reduce(f)
+			}
+		}).AllocedBytesPerOp()
+	}
+	if small, large := bytesAt(8), bytesAt(1<<20); small != large {
+		t.Fatalf("Reduce allocates %d B/op at N = 8 but %d B/op at N = 1<<20", small, large)
+	}
+}
+
+// TestCompileProbesPastHashCollisions forces a dedupe-hash collision: an
+// atom whose hash names another atom's slot must get a slot of its own,
+// and both must keep resolving to their own slots afterwards.
+func TestCompileProbesPastHashCollisions(t *testing.T) {
+	a := Atom{P: poly.Var(2, 0), Rel: LT}
+	b := Atom{P: poly.Var(2, 1), Rel: LT}
+	c := &Compiled{}
+	index := make(map[uint64]int)
+	if i := c.intern(a, index); i != 0 {
+		t.Fatalf("first atom interned at %d", i)
+	}
+	h := newFPHash()
+	h.atom(b)
+	index[h.a] = 0 // b's hash now names a's slot
+	for _, tc := range []struct {
+		a    Atom
+		want int
+	}{{b, 1}, {b, 1}, {a, 0}} {
+		if got := c.intern(tc.a, index); got != tc.want {
+			t.Fatalf("intern(%s) = %d, want %d", tc.a, got, tc.want)
+		}
+	}
+	if len(c.atoms) != 2 {
+		t.Fatalf("%d atoms interned, want 2", len(c.atoms))
+	}
+}
+
+// BenchmarkReduce times Reduce at Figure-1 arity: 20 atoms over five live
+// variables among K = 11 208 ambient nulls (allocs/op guarded by
+// scripts/alloc_check.sh).
+func BenchmarkReduce(b *testing.B) {
+	f := reduceFixture(11208, []int{17, 2310, 5071, 8800, 11207})
+	b.ReportAllocs()
+	for b.Loop() {
+		Reduce(f)
+	}
+}

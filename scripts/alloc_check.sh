@@ -14,7 +14,8 @@ benchtime="${1:-2x}"
 budget_file="scripts/alloc_budget.txt"
 
 raw="$(go test -run '^$' -bench 'BenchmarkSQLPipeline$|BenchmarkMixedInsertQuery|BenchmarkInsertDurable' -benchmem -benchtime "$benchtime" .
-       go test -run '^$' -bench 'BenchmarkShardedScatterGather' -benchmem -benchtime "$benchtime" ./internal/shard)"
+       go test -run '^$' -bench 'BenchmarkShardedScatterGather' -benchmem -benchtime "$benchtime" ./internal/shard
+       go test -run '^$' -bench 'BenchmarkReduce$' -benchmem -benchtime "$benchtime" ./internal/realfmla)"
 printf '%s\n' "$raw"
 
 fail=0

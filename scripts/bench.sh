@@ -30,7 +30,10 @@
 #     (internal/shard) vs the single-store pipeline on the same query,
 #     and an insert-then-join on both, so what serving from the gathered
 #     copy costs stays visible (allocs/op guarded by
-#     scripts/alloc_check.sh).
+#     scripts/alloc_check.sh);
+#   - BenchmarkReduce: realfmla.Reduce on a Figure-1-shaped formula among
+#     11 208 ambient nulls, the per-formula preprocessing behind every
+#     kernel-cache miss (allocs/op guarded by scripts/alloc_check.sh).
 #
 # Usage: scripts/bench.sh [bench-regexp] [benchtime]
 #   scripts/bench.sh                 # the default family below, -benchtime 1s
@@ -38,11 +41,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-bench="${1:-Figure1|SQLPipeline|MixedInsertQuery|InsertDurable|ServerThroughput|AdaptiveTopK|ReplicaCatchup|ShardedScatterGather}"
+bench="${1:-Figure1|SQLPipeline|MixedInsertQuery|InsertDurable|ServerThroughput|AdaptiveTopK|ReplicaCatchup|ShardedScatterGather|Reduce}"
 benchtime="${2:-1s}"
 out="BENCH_$(date +%Y-%m-%d).json"
 
-raw="$(go test -run '^$' -bench "$bench" -benchmem -benchtime "$benchtime" . ./internal/server ./internal/replica ./internal/shard)"
+raw="$(go test -run '^$' -bench "$bench" -benchmem -benchtime "$benchtime" . ./internal/server ./internal/replica ./internal/shard ./internal/realfmla)"
 printf '%s\n' "$raw"
 
 {
