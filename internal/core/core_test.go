@@ -230,6 +230,17 @@ func phiReduce(f realfmla.Formula) realfmla.Formula {
 	return g
 }
 
+// orderChain is z0 < z1 < … < z(n-1) over n variables.
+func orderChain(n int) realfmla.Formula {
+	atoms := make([]realfmla.Formula, n-1)
+	for i := range atoms {
+		c := make([]float64, n)
+		c[i], c[i+1] = 1, -1
+		atoms[i] = linAtom(n, c, 0, realfmla.LT)
+	}
+	return realfmla.And(atoms...)
+}
+
 func TestExactOrderKnownValues(t *testing.T) {
 	e := New(Options{})
 	cases := []struct {
@@ -252,6 +263,9 @@ func TestExactOrderKnownValues(t *testing.T) {
 		{linAtom(2, []float64{1, -1}, 0, realfmla.EQ), big.NewRat(0, 1)},
 		// z0 ≠ z1: full measure.
 		{linAtom(2, []float64{1, -1}, 0, realfmla.NE), big.NewRat(1, 1)},
+		// z0 < z1 < … < z6: 1/7!. 2⁷·7! = 645 120 cells, within the
+		// 1 000 000-cell budget.
+		{orderChain(7), big.NewRat(1, 5040)},
 	}
 	for i, c := range cases {
 		res, ok, err := e.exactOrder(newCompiledEntry(c.phi))
@@ -275,12 +289,8 @@ func TestExactOrderRejectsNonOrder(t *testing.T) {
 	if _, ok, _ := e.exactOrder(newCompiledEntry(q)); ok {
 		t.Error("quadratic atom accepted")
 	}
-	// Cell budget: a genuine 3-variable order formula has 48 cells.
-	tiny := New(Options{MaxExactCells: 10})
-	chain := realfmla.And(
-		linAtom(3, []float64{1, -1, 0}, 0, realfmla.LT),
-		linAtom(3, []float64{0, 1, -1}, 0, realfmla.LT))
-	if _, ok, _ := tiny.exactOrder(newCompiledEntry(chain)); ok {
+	// Cell budget: an 8-variable chain has 2⁸·8! = 10 321 920 cells.
+	if _, ok, _ := e.exactOrder(newCompiledEntry(orderChain(8))); ok {
 		t.Error("cell budget ignored")
 	}
 }
@@ -507,14 +517,14 @@ func TestExactRaySingleVariableNonlinear(t *testing.T) {
 	}
 }
 
-func TestPreferFPRASOption(t *testing.T) {
-	// Force the FPRAS on a 3D linear formula where no exact method applies.
+func TestFPRASLinearOnly(t *testing.T) {
+	// The FPRAS on a 3D linear formula where no exact method applies.
 	oct := realfmla.And(
 		linAtom(3, []float64{-1, -1, 0}, 0, realfmla.LT), // z0 + z1 > 0: not an order atom
 		linAtom(3, []float64{0, -1, -1}, 0, realfmla.LT),
 	)
-	e := New(Options{Seed: 5, PreferFPRAS: true})
-	res, err := e.MeasureFormula(oct, 0.1, 0.25)
+	e := New(Options{Seed: 5})
+	res, err := e.FPRAS(oct, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,14 +540,10 @@ func TestPreferFPRASOption(t *testing.T) {
 	if math.Abs(res.Value-ref.Value) > 0.1*ref.Value+0.04 {
 		t.Errorf("FPRAS %.4f vs AFPRAS %.4f", res.Value, ref.Value)
 	}
-	// Nonlinear input still works via the AFPRAS fallback.
+	// Nonlinear input is outside the CQ(+,<) regime.
 	q := realfmla.FAtom{A: realfmla.Atom{P: poly.Var(2, 0).Mul(poly.Var(2, 1)), Rel: realfmla.GT}}
-	res2, err := e.MeasureFormula(q, 0.05, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Method != MethodAFPRAS {
-		t.Errorf("nonlinear method = %s, want afpras", res2.Method)
+	if _, err := e.FPRAS(q, 0.05); err == nil {
+		t.Error("FPRAS accepted a nonlinear formula")
 	}
 }
 
