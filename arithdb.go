@@ -180,7 +180,9 @@ type Engine = core.Engine
 // background/distribution samplers stay sequential), and
 // CompileCacheSize sizes the engine's compiled-formula cache, which
 // lets ε-sweeps over the same candidate constraints compile each
-// formula once instead of once per call.
+// formula once instead of once per call. The SQL pipeline has one
+// configuration (join reordering, probes of the database's persistent
+// equality indexes) and no options.
 type EngineOptions = core.Options
 
 // Result is a computed or approximated measure.

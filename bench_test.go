@@ -224,13 +224,11 @@ func BenchmarkFigure1c(b *testing.B) { benchFigure(b, "UnfairDiscount") }
 // BenchmarkSQLPipeline is the end-to-end SQL→confidence benchmark of the
 // planner/executor refactor: an indexed equality-join query (Competitive
 // Advantage over the sales database) answered with per-candidate AFPRAS
-// measures at ε = 0.05. Three pipelines:
+// measures at ε = 0.05. Two pipelines:
 //
-//   - naive: the fully-materializing nested-loop join (no hash join, no
-//     indexes) followed by sequential measurement — the pre-planner
-//     materialize-then-measure baseline shape;
 //   - indexed: the planner/executor with hash joins on persistent
-//     database indexes, still measuring sequentially;
+//     database indexes, followed by sequential measurement (the
+//     materialize-then-measure shape);
 //   - fused: Engine.MeasureSQL, streaming enumeration overlapped with
 //     concurrent measurement.
 func BenchmarkSQLPipeline(b *testing.B) {
@@ -246,37 +244,23 @@ func BenchmarkSQLPipeline(b *testing.B) {
 	base := arithdb.EngineOptions{Seed: 7, PaperSampleCount: true, DisableExact: true, ForceSampling: true, NoAdaptive: true}
 
 	// Every variant hoists its engine out of the b.N loop, so compiled
-	// kernels amortize across iterations: the materializing variants
+	// kernels amortize across iterations: the materializing variant
 	// through the engine's own compile cache, the fused pipeline through
 	// the shared kernel cache its measurement pool hands to the
 	// per-candidate engines (the MeasureBatch determinism contract keeps
 	// one engine per candidate; the immutable kernels are shared).
-	materializeThenMeasure := func(b *testing.B, engine *arithdb.Engine) {
-		res, err := engine.EvaluateSQL(q, w.db)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range res.Candidates {
-			if _, err := engine.MeasureFormula(c.Phi, eps, delta); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-
-	b.Run("naive", func(b *testing.B) {
-		opts := base
-		opts.DisableJoinReorder = true
-		opts.DisableDBIndexes = true
-		opts.DisableHashJoin = true
-		engine := arithdb.NewEngine(opts)
-		for i := 0; i < b.N; i++ {
-			materializeThenMeasure(b, engine)
-		}
-	})
 	b.Run("indexed", func(b *testing.B) {
 		engine := arithdb.NewEngine(base)
 		for i := 0; i < b.N; i++ {
-			materializeThenMeasure(b, engine)
+			res, err := engine.EvaluateSQL(q, w.db)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, c := range res.Candidates {
+				if _, err := engine.MeasureFormula(c.Phi, eps, delta); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	})
 	b.Run("fused", func(b *testing.B) {
@@ -354,30 +338,25 @@ func mixedWorkloadDB(b *testing.B, rows int) (*arithdb.Database, *arithdb.SQLQue
 // BenchmarkMixedInsertQuery is the write-path benchmark of incremental
 // index maintenance: each op is one Insert followed by one indexed query
 // on a 40k-row relation — the mixed insert/query workload of a live
-// console-style measurement service. Three maintenance regimes:
+// console-style measurement service. Two maintenance regimes:
 //
 //   - incremental: the default — Insert extends the cached equality
 //     index groups and inventories in place, so the query's index probe
 //     finds hot caches (amortized O(1) maintenance per insert);
 //   - snapshot: the server shape — the query runs on db.Snapshot(), so
 //     inserts additionally pay the copy-on-write clone of whatever the
-//     previous snapshot still shares;
-//   - rebuild: the drop-and-rebuild baseline (pre-incremental behavior,
-//     via DropCaches) — every insert invalidates wholesale and the next
-//     query re-scans the relation to rebuild index and inventories,
-//     O(relation) per op.
+//     previous snapshot still shares.
 //
-// The acceptance bar of the incremental-maintenance PR: incremental ≥
-// 10× faster than rebuild, with byte-identical query results (see
+// Query results are byte-identical to a from-scratch rebuild (see
 // TestIncrementalQueryParity).
 func BenchmarkMixedInsertQuery(b *testing.B) {
 	const rows = 40000
 	engine := arithdb.NewEngine(arithdb.EngineOptions{})
-	run := func(b *testing.B, snapshot, rebuild bool) {
+	run := func(b *testing.B, snapshot bool) {
 		d, q := mixedWorkloadDB(b, rows)
 		// Warm the caches the way the measured regime reads: the snapshot
 		// variant warms through a snapshot (the server shape — the writer
-		// adopts the snapshot-built indexes), the others on the writer.
+		// adopts the snapshot-built indexes), the other on the writer.
 		warm := d
 		if snapshot {
 			warm = d.Snapshot()
@@ -392,9 +371,6 @@ func BenchmarkMixedInsertQuery(b *testing.B) {
 				arithdb.Base(fmt.Sprintf("id%d", rows+i)),
 				arithdb.Base(fmt.Sprintf("seg%d", i%64)),
 				arithdb.Num(float64(i%1000)/4))
-			if rebuild {
-				d.DropCaches()
-			}
 			qd := d
 			if snapshot {
 				qd = d.Snapshot()
@@ -404,9 +380,8 @@ func BenchmarkMixedInsertQuery(b *testing.B) {
 			}
 		}
 	}
-	b.Run("incremental", func(b *testing.B) { run(b, false, false) })
-	b.Run("snapshot", func(b *testing.B) { run(b, true, false) })
-	b.Run("rebuild", func(b *testing.B) { run(b, false, true) })
+	b.Run("incremental", func(b *testing.B) { run(b, false) })
+	b.Run("snapshot", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkConditionalJoin times the candidate-generation phase (the role

@@ -57,7 +57,6 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   arithdb sql     -data DIR -query "SELECT ..." [-eps E] [-delta D] [-seed S]
                   [-workers N] [-compile-cache N] [-no-adaptive] [-stats]
-                  [-no-join-reorder] [-no-db-indexes] [-no-hash-join]
   arithdb sql     -connect URL[,URL...] -query "SELECT ..." [-eps E] [-delta D] [-stream] [-stats]
                   (first URL is the primary; reads fail over down the list)
   arithdb measure -data DIR -query "q(x:base) := ..." [-eps E] [-delta D] [-seed S]
@@ -79,16 +78,6 @@ func commonFlags(fs *flag.FlagSet) (data, query *string, eps, delta *float64, op
 	fs.IntVar(&opts.CompileCacheSize, "compile-cache", 0,
 		"compiled-formula cache entries (0 = default 1024, negative disables)")
 	return
-}
-
-// plannerFlags adds the SQL pipeline planner/executor toggles.
-func plannerFlags(fs *flag.FlagSet, opts *arithdb.EngineOptions) {
-	fs.BoolVar(&opts.DisableJoinReorder, "no-join-reorder", false,
-		"keep the FROM-clause join order even when reordering joins earlier")
-	fs.BoolVar(&opts.DisableDBIndexes, "no-db-indexes", false,
-		"build transient per-query hash tables instead of persistent database indexes")
-	fs.BoolVar(&opts.DisableHashJoin, "no-hash-join", false,
-		"force nested-loop joins (the naive baseline)")
 }
 
 // rangeFlags collects repeated -range Relation.column=lo:hi declarations
@@ -128,7 +117,6 @@ func (r rangeFlags) Set(s string) error {
 func runSQL(args []string) {
 	fs := flag.NewFlagSet("sql", flag.ExitOnError)
 	data, query, eps, delta, opts := commonFlags(fs)
-	plannerFlags(fs, opts)
 	ranges := rangeFlags{}
 	fs.Var(ranges, "range", "column range constraint Relation.column=lo:hi (repeatable; empty bound = ±inf)")
 	connect := fs.String("connect", "", "arithdbd base URL(s), comma-separated (e.g. http://primary:8080,http://replica:8081): run the query on a server instead of -data; reads fail over down the list")
@@ -149,8 +137,7 @@ func runSQL(args []string) {
 		// ignoring them.
 		localOnly := map[string]bool{
 			"data": true, "range": true, "seed": true, "workers": true,
-			"compile-cache": true, "no-join-reorder": true,
-			"no-db-indexes": true, "no-hash-join": true, "no-adaptive": true,
+			"compile-cache": true, "no-adaptive": true,
 		}
 		fs.Visit(func(f *flag.Flag) {
 			if localOnly[f.Name] {

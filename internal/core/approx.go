@@ -110,12 +110,12 @@ func newAsymSampler(c *realfmla.Compiled, n int) *asymSampler {
 
 // chunk reseeds the sampler's RNG and counts asymptotic hits over count
 // Gaussian directions.
-func (s *asymSampler) chunk(seed int64, count int, tol float64) int {
+func (s *asymSampler) chunk(seed int64, count int) int {
 	s.src.Seed(seed)
 	hits := 0
 	for i := 0; i < count; i++ {
 		mc.FillNormal(s.rng, s.dir)
-		if s.ev.AsymEval(s.dir, tol) {
+		if s.ev.AsymEval(s.dir, asymTol) {
 			hits++
 		}
 	}
@@ -156,10 +156,9 @@ func (e *Engine) sampleAsymRange(ent *compiledEntry, m int, base int64, from, to
 	}
 	if workers <= 1 {
 		s := ent.sampler()
-		tol := e.opts.Tol
 		hits := 0
 		for ch := from; ch < to; ch++ {
-			hits += s.chunk(mc.DeriveSeed(base, int64(ch)), chunkLen(m, ch), tol)
+			hits += s.chunk(mc.DeriveSeed(base, int64(ch)), chunkLen(m, ch))
 		}
 		return hits
 	}
@@ -181,7 +180,7 @@ func (e *Engine) AdditiveApproxDirect(q *fo.Query, d *db.Database, args []value.
 	if err != nil {
 		return Result{}, err
 	}
-	tmpl, err := fo.NewDirTemplate(d, e.opts.Tol)
+	tmpl, err := fo.NewDirTemplate(d, asymTol)
 	if err != nil {
 		return Result{}, err
 	}

@@ -111,7 +111,7 @@ func (e *Engine) MeasureWithBackground(phi realfmla.Formula, bg Background, eps,
 				vals[j] = e.rand().NormFloat64()
 			}
 		}
-		if ev.MixedAsymEval(vals, ray, e.opts.Tol) {
+		if ev.MixedAsymEval(vals, ray, asymTol) {
 			hits++
 		}
 	}

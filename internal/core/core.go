@@ -66,14 +66,6 @@ const (
 type Options struct {
 	// Seed seeds the engine's random source. The zero value uses 1.
 	Seed int64
-	// Tol is the tolerance for leading-coefficient sign tests in asymptotic
-	// evaluation. Default 1e-12.
-	Tol float64
-	// MaxExactCells bounds the number of signed-permutation cells
-	// (2ⁿ · n!) the exact order algorithm may enumerate. Default 1_000_000.
-	MaxExactCells int
-	// DNFLimit bounds the DNF blowup in the FPRAS path. Default 4096.
-	DNFLimit int
 	// PaperSampleCount, when true, uses the paper's m = ⌈ε⁻²⌉ sample count
 	// (confidence 3/4) instead of the Hoeffding count for the requested
 	// confidence.
@@ -87,11 +79,6 @@ type Options struct {
 	// candidate tuple unconditionally; benchmarks reproducing its timing
 	// enable this.
 	ForceSampling bool
-	// PreferFPRAS routes linear formulas without an applicable exact
-	// method to the Section 7 union-of-cones FPRAS (multiplicative
-	// guarantee) instead of the additive AFPRAS. Nonlinear formulas still
-	// fall back to the AFPRAS.
-	PreferFPRAS bool
 	// Workers is the number of goroutines used for intra-formula sampling
 	// in the additive asymptotic sampler (AdditiveApprox and the AFPRAS
 	// path of Measure/MeasureFormula; the Section 10 background and
@@ -121,35 +108,22 @@ type Options struct {
 	// full m-sample budget). Non-LIMIT queries and exact evaluation are
 	// identical either way. See MeasureTopK for the race contract.
 	NoAdaptive bool
-
-	// SQL pipeline planner/executor toggles (EvaluateSQL / MeasureSQL).
-	// None of them change results — the executor restores derivation
-	// order and the constraint layout is canonical — only how the join
-	// runs.
-
-	// DisableJoinReorder keeps the FROM-clause join order even when the
-	// planner finds an equality-connected order that joins earlier.
-	DisableJoinReorder bool
-	// DisableDBIndexes makes the executor build transient per-query hash
-	// tables instead of using the database's persistent equality indexes.
-	DisableDBIndexes bool
-	// DisableHashJoin forces nested-loop joins with residual checks — the
-	// naive fully-materializing baseline of the paper's pipeline.
-	DisableHashJoin bool
 }
+
+const (
+	// asymTol is the tolerance for leading-coefficient sign tests in
+	// asymptotic evaluation.
+	asymTol = 1e-12
+	// maxExactCells bounds the number of signed-permutation cells
+	// (2ⁿ · n!) the exact order algorithm may enumerate.
+	maxExactCells = 1_000_000
+	// dnfLimit bounds the DNF blowup in the FPRAS and decision paths.
+	dnfLimit = 4096
+)
 
 func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-12
-	}
-	if o.MaxExactCells <= 0 {
-		o.MaxExactCells = 1_000_000
-	}
-	if o.DNFLimit <= 0 {
-		o.DNFLimit = 4096
 	}
 	if o.CompileCacheSize == 0 {
 		o.CompileCacheSize = 1024
@@ -445,13 +419,6 @@ func (e *Engine) MeasureFormula(phi realfmla.Formula, eps, delta float64) (Resul
 			r.RelevantK = n
 			return r, nil
 		}
-	}
-	if e.opts.PreferFPRAS && realfmla.IsLinear(ent.reduced) {
-		r, err := e.FPRAS(phi, eps)
-		if err == nil {
-			return r, nil
-		}
-		// DNF blowup or degenerate geometry: fall through to the AFPRAS.
 	}
 	r, err := e.additiveApprox(ent, eps, delta)
 	if err != nil {

@@ -17,8 +17,8 @@ import (
 // or lower-dimensional, e.g. z = 5), and Satisfiable tells these apart
 // from genuinely impossible answers.
 //
-// It returns an error for nonlinear formulas or when the DNF exceeds the
-// engine's limit.
+// It returns an error for nonlinear formulas or when the DNF exceeds
+// dnfLimit disjuncts.
 func (e *Engine) Satisfiable(phi realfmla.Formula) (sat bool, witness []float64, err error) {
 	reduced, vars := realfmla.Reduce(phi)
 	n := len(vars)
@@ -28,7 +28,7 @@ func (e *Engine) Satisfiable(phi realfmla.Formula) (sat bool, witness []float64,
 	if !realfmla.IsLinear(reduced) {
 		return false, nil, fmt.Errorf("core: Satisfiable requires linear constraints")
 	}
-	dnf, err := realfmla.ToDNF(reduced, e.opts.DNFLimit)
+	dnf, err := realfmla.ToDNF(reduced, dnfLimit)
 	if err != nil {
 		return false, nil, err
 	}

@@ -50,7 +50,7 @@ func orderAtomsOnly(f realfmla.Formula) bool {
 // integer representative a_i = s_i · rank_i. It evaluates through the
 // entry's cached compiled form, so repeated calls (ε-sweeps) compile
 // nothing. Returns ok=false when φ is not an order formula or the cell
-// count exceeds Options.MaxExactCells.
+// count exceeds maxExactCells.
 func (e *Engine) exactOrder(ent *compiledEntry) (Result, bool, error) {
 	n := len(ent.vars)
 	if n == 0 || !orderAtomsOnly(ent.reduced) {
@@ -60,7 +60,7 @@ func (e *Engine) exactOrder(ent *compiledEntry) (Result, bool, error) {
 	cells := 1
 	for i := 1; i <= n; i++ {
 		cells *= 2 * i
-		if cells > e.opts.MaxExactCells {
+		if cells > maxExactCells {
 			return Result{}, false, nil
 		}
 	}

@@ -19,8 +19,8 @@ import (
 // case bound: the MCMC mixing constants of the underlying samplers are not
 // reproduced here; see DESIGN.md).
 //
-// It returns an error if φ is not linear or its DNF exceeds
-// Options.DNFLimit.
+// It returns an error if φ is not linear or its DNF exceeds dnfLimit
+// disjuncts.
 func (e *Engine) FPRAS(phi realfmla.Formula, eps float64) (Result, error) {
 	if err := ValidateEps(eps); err != nil {
 		return Result{}, err
@@ -37,7 +37,7 @@ func (e *Engine) FPRAS(phi realfmla.Formula, eps float64) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	dnf, err := realfmla.ToDNF(hom, e.opts.DNFLimit)
+	dnf, err := realfmla.ToDNF(hom, dnfLimit)
 	if err != nil {
 		return Result{}, err
 	}

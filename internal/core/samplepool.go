@@ -45,7 +45,6 @@ type parJob struct {
 	m, chunks int
 	first     int
 	base      int64
-	tol       float64
 	slot      atomic.Int64 // sampler slot assignment; the submitter owns slot 0
 	next      atomic.Int64 // chunk claim counter
 	total     atomic.Int64 // accumulated hits
@@ -60,7 +59,7 @@ func (j *parJob) run(s *asymSampler) {
 		if ch >= j.chunks {
 			break
 		}
-		hits += s.chunk(mc.DeriveSeed(j.base, int64(ch)), chunkLen(j.m, ch), j.tol)
+		hits += s.chunk(mc.DeriveSeed(j.base, int64(ch)), chunkLen(j.m, ch))
 	}
 	j.total.Add(int64(hits))
 }
@@ -109,7 +108,7 @@ func (e *Engine) runParallel(ent *compiledEntry, workers, m, from, to int, base 
 	p := e.samplePoolFor(e.workers() - 1)
 	j := &p.job
 	j.samplers = ent.samplerPool(workers)
-	j.m, j.first, j.chunks, j.base, j.tol = m, from, to, base, e.opts.Tol
+	j.m, j.first, j.chunks, j.base = m, from, to, base
 	j.slot.Store(0)
 	j.next.Store(0)
 	j.total.Store(0)

@@ -11,41 +11,36 @@ import (
 	"repro/internal/value"
 )
 
-// PlanOptions and ExecOptions derive the SQL pipeline configuration from
-// the engine options. They are exported for a caller that stages the
-// pipeline itself (plan.Build, exec.Aggregate, MeasureCandidatesStream)
-// under exactly the toggles this engine would use. The one such caller is
-// the benchmark's staged re-build (benchmark/layers.go); the product has
-// none, so these, RaceApplies and MeasureCandidatesStream go when it
-// stops calling them.
+// PlanOptions and ExecOptions are the SQL pipeline configuration every
+// engine runs: join reordering on, probes of the database's persistent
+// equality indexes. They are exported for a caller that stages the
+// pipeline itself (plan.Build, exec.Aggregate, MeasureCandidatesStream).
+// The one such caller is the benchmark's staged re-build
+// (benchmark/layers.go); the product has none, so these, RaceApplies and
+// MeasureCandidatesStream go when it stops calling them.
 func (e *Engine) PlanOptions() plan.Options {
-	return plan.Options{
-		Reorder:             !e.opts.DisableJoinReorder,
-		NoPersistentIndexes: e.opts.DisableDBIndexes,
-	}
+	return plan.Options{Reorder: true}
 }
 
 // ExecOptions is the executor half of PlanOptions.
 func (e *Engine) ExecOptions() exec.Options {
-	return exec.Options{NoDBIndexes: e.opts.DisableDBIndexes, NoHashJoin: e.opts.DisableHashJoin}
+	return exec.Options{}
 }
 
 // RaceApplies reports whether a query with the given LIMIT routes through
 // the adaptive top-k race: a LIMIT-k query on the default sampling
-// configuration. Non-LIMIT queries, Options.NoAdaptive (the escape hatch
-// restoring the fixed-budget first-k-distinct semantics) and PreferFPRAS
-// (whose multiplicative-guarantee estimates have no racing theory here)
-// are measured at the fixed budget. A caller that aggregates candidates
+// configuration. Non-LIMIT queries and Options.NoAdaptive (the escape
+// hatch restoring the fixed-budget first-k-distinct semantics) are
+// measured at the fixed budget. A caller that aggregates candidates
 // itself must then aggregate the full field (enumerate with LIMIT 0)
 // before calling MeasureCandidatesStream with the limit.
 func (e *Engine) RaceApplies(limit int) bool {
-	return limit > 0 && !e.opts.NoAdaptive && !e.opts.PreferFPRAS
+	return limit > 0 && !e.opts.NoAdaptive
 }
 
 // EvaluateSQL runs a SQL query under conditional semantics through the
 // engine's planner/executor configuration, returning candidate tuples
-// with their constraints. Results are identical to sqlfront.Evaluate for
-// every toggle combination.
+// with their constraints. Results are identical to sqlfront.Evaluate.
 func (e *Engine) EvaluateSQL(q *sqlast.Query, d *db.Database) (*exec.Result, error) {
 	p, err := plan.Build(q, d, e.PlanOptions())
 	if err != nil {
@@ -90,7 +85,7 @@ type SQLStreamInfo struct {
 	// SamplesDrawn and Rounds report the adaptive top-k race's total
 	// sampling spend (all candidates, frozen-out losers included) and
 	// round count. Zero when the query did not route through the race
-	// (no LIMIT, Options.NoAdaptive, or PreferFPRAS).
+	// (no LIMIT, or Options.NoAdaptive).
 	SamplesDrawn int
 	Rounds       int
 }
@@ -111,11 +106,11 @@ type SQLStreamInfo struct {
 // Measurement matches MeasureBatch exactly: each candidate is measured by
 // a pool engine seeded deterministically from this engine's options and
 // the candidate index, so results are bit-identical to a sequential
-// MeasureBatch run regardless of scheduling or the planner toggles. The
-// pool engines share this engine's compiled-kernel cache (see
-// kernelCache), so repeated MeasureSQL calls and ε-sweeps on one engine
-// compile each candidate constraint once instead of once per call;
-// kernels are immutable, so sharing cannot change the measured values.
+// MeasureBatch run regardless of scheduling. The pool engines share this
+// engine's compiled-kernel cache (see kernelCache), so repeated
+// MeasureSQL calls and ε-sweeps on one engine compile each candidate
+// constraint once instead of once per call; kernels are immutable, so
+// sharing cannot change the measured values.
 //
 // MeasureSQL is the buffering collector (collectSQL) over
 // MeasureSQLStream, so the two are bit-identical by construction.

@@ -28,7 +28,6 @@ func TestMeasureSQLMatchesBatch(t *testing.T) {
 	// adaptive LIMIT-k race has its own parity suite (adaptive_test.go).
 	for _, opts := range []Options{
 		{Seed: 9, NoAdaptive: true},
-		{Seed: 9, NoAdaptive: true, DisableJoinReorder: true, DisableDBIndexes: true, DisableHashJoin: true},
 		{Seed: 9, NoAdaptive: true, DisableExact: true, ForceSampling: true, PaperSampleCount: true},
 	} {
 		ev, err := New(opts).EvaluateSQL(q, d)

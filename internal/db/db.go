@@ -452,28 +452,6 @@ func (d *Database) Size() int {
 	return n
 }
 
-// DropCaches discards every cached equality index and inventory, forcing
-// full sequential-scan rebuilds on next access. This is the wholesale
-// invalidation Insert performed before incremental maintenance; it is
-// kept as the drop-and-rebuild baseline of BenchmarkMixedInsertQuery and
-// as an escape hatch. No-op on snapshots.
-func (d *Database) DropCaches() {
-	if d.frozen {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.indexes = nil
-	d.sharedIx = nil
-	d.invValid = false
-	d.invShared = false
-	d.baseNullSet, d.numNullSet, d.numConstSet = nil, nil, nil
-	d.pendBase, d.pendNum, d.pendConst = nil, nil, nil
-	d.baseNulls, d.numNulls, d.numNullIndex, d.numConsts = nil, nil, nil, nil
-	d.baseConsts, d.baseConstsLen = nil, 0
-	d.version.Add(1)
-}
-
 // addInventory folds one inserted value into the live inventory state:
 // the membership sets update in place and genuinely new elements queue
 // for the next sorted merge (buildInventories). While the inventories
@@ -504,7 +482,7 @@ func (d *Database) addInventory(v value.Value) {
 
 // scanInventories seeds the membership sets with one sequential scan per
 // column, queueing every element for the first sorted merge. It runs at
-// most once per database (and once more after DropCaches); all later
+// most once per database; all later
 // maintenance is incremental. Callers hold d.mu.
 func (d *Database) scanInventories() {
 	d.baseNullSet = make(map[int]bool)

@@ -88,8 +88,8 @@ type indexKey struct {
 }
 
 // BuildIndex builds an equality index of the given relation column with
-// one sequential scan, without touching the database's cache (the
-// transient-index mode of the executor). Use Index for the cached variant.
+// one sequential scan, without touching the database's cache. Use Index
+// for the cached variant.
 // The group maps are allocated (from the schema) even when the relation
 // has no rows yet, so an index cached while the relation was empty can
 // be extended in place by later inserts.

@@ -47,14 +47,6 @@ import (
 
 // Options configures execution.
 type Options struct {
-	// NoDBIndexes makes the executor build transient per-query hash
-	// tables instead of using (and lazily building) the database's
-	// persistent equality indexes.
-	NoDBIndexes bool
-	// NoHashJoin disables index/hash access paths entirely: every step
-	// becomes a full scan with residual condition checks — the naive
-	// nested-loop baseline.
-	NoHashJoin bool
 	// Interrupt, when set, is polled every few thousand derivations
 	// during aggregation; a non-nil return aborts the run with that
 	// error. Servers wire a request context's Err here so an abandoned
@@ -297,13 +289,12 @@ func (c *Cursor) advance() bool {
 }
 
 // enter prepares step s's candidate rows for the current outer binding:
-// an index probe when the plan chose one (and hashing is enabled), a full
-// scan otherwise.
+// an index probe when the plan chose one, a full scan otherwise.
 func (c *Cursor) enter(s int) {
 	st := &c.steps[s]
 	st.pos = 0
 	st.probe = false
-	if !c.opts.NoHashJoin && st.access != plan.FullScan {
+	if st.access != plan.FullScan {
 		ok := true
 		var code int32
 		if st.access == plan.IndexEq {
@@ -324,17 +315,11 @@ func (c *Cursor) enter(s int) {
 	st.ncand = st.n
 }
 
-// index returns the equality index serving step s's access path, caching
-// the handle on the cursor (and building a transient one in NoDBIndexes
-// mode).
+// index returns the database's persistent equality index serving step
+// s's access path, caching the handle on the cursor.
 func (c *Cursor) index(s int) *db.EqIndex {
 	st := &c.steps[s]
-	if st.ix != nil {
-		return st.ix
-	}
-	if c.opts.NoDBIndexes {
-		st.ix = c.d.BuildIndex(st.relation, st.localCol)
-	} else {
+	if st.ix == nil {
 		st.ix = c.d.Index(st.relation, st.localCol)
 	}
 	return st.ix

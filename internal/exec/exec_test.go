@@ -140,36 +140,3 @@ func TestAggregatorLimitAndSaturation(t *testing.T) {
 		t.Errorf("early dispatch = %v", early)
 	}
 }
-
-// TestCollectOptionCombos: every executor configuration computes the same
-// result on a probe-and-filter query.
-func TestCollectOptionCombos(t *testing.T) {
-	d := testDB(t)
-	p := mustPlan(t, d, `SELECT R.g FROM R R, S S WHERE R.g = S.g AND R.x <= S.y LIMIT 2`, plan.Options{})
-	base, err := exec.Collect(p, d, exec.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Derivations != 3 || len(base.Candidates) != 2 {
-		t.Fatalf("base = %d derivs, %d candidates", base.Derivations, len(base.Candidates))
-	}
-	for _, opts := range []exec.Options{
-		{NoDBIndexes: true},
-		{NoHashJoin: true},
-		{NoDBIndexes: true, NoHashJoin: true},
-	} {
-		got, err := exec.Collect(p, d, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Derivations != base.Derivations || len(got.Candidates) != len(base.Candidates) {
-			t.Fatalf("%+v: %d derivs %d cands", opts, got.Derivations, len(got.Candidates))
-		}
-		for i := range base.Candidates {
-			if !got.Candidates[i].Tuple.Equal(base.Candidates[i].Tuple) ||
-				!realfmla.Equal(got.Candidates[i].Phi, base.Candidates[i].Phi) {
-				t.Fatalf("%+v: candidate %d differs", opts, i)
-			}
-		}
-	}
-}

@@ -2,8 +2,8 @@
 // behind. It is an offline, standard-library reimplementation of the
 // go.uber.org/goleak API surface this repo uses (the build environment
 // has no network, so the real module cannot be fetched); swap the
-// import if goleak ever becomes vendorable — VerifyTestMain, Find, and
-// the Ignore* options match.
+// import if goleak ever becomes vendorable — VerifyTestMain and Find
+// match, called without options.
 //
 // The fault-injection harnesses (faultnet, the replica and shard chaos
 // tests) and the server's streaming/admission paths all spawn
@@ -17,30 +17,14 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 )
 
-// Option configures Find/VerifyTestMain.
-type Option func(*config)
-
-type config struct {
-	ignoreTop []string
-	ignoreAny []string
-	retries   int
-}
-
-// IgnoreTopFunction ignores goroutines whose top stack frame is the
-// given fully qualified function name.
-func IgnoreTopFunction(name string) Option {
-	return func(c *config) { c.ignoreTop = append(c.ignoreTop, name) }
-}
-
-// IgnoreAnyFunction ignores goroutines with the given fully qualified
-// function name anywhere in their stack.
-func IgnoreAnyFunction(name string) Option {
-	return func(c *config) { c.ignoreAny = append(c.ignoreAny, name) }
-}
+// retries is how many times Find re-captures the stacks before it
+// reports a leak.
+const retries = 20
 
 // defaultIgnoreTop are runtime/stdlib background goroutines that are
 // never leaks.
@@ -59,10 +43,10 @@ var defaultIgnoreTop = []string{
 // non-test goroutine is still alive. Use from TestMain:
 //
 //	func TestMain(m *testing.M) { leakcheck.VerifyTestMain(m) }
-func VerifyTestMain(m interface{ Run() int }, opts ...Option) {
+func VerifyTestMain(m interface{ Run() int }) {
 	code := m.Run()
 	if code == 0 {
-		if err := Find(opts...); err != nil {
+		if err := Find(); err != nil {
 			fmt.Fprintf(os.Stderr, "leakcheck: %v\n", err)
 			code = 1
 		}
@@ -74,18 +58,14 @@ func VerifyTestMain(m interface{ Run() int }, opts ...Option) {
 // backoff (and forcing GC, so runtime.AddCleanup-driven shutdowns — the
 // engine sample pools — get their chance to run) until the stacks drain
 // or the retry budget is spent.
-func Find(opts ...Option) error {
-	c := &config{retries: 20}
-	for _, o := range opts {
-		o(c)
-	}
+func Find() error {
 	var leaked []goroutineStack
 	delay := time.Millisecond
-	for i := 0; i < c.retries; i++ {
+	for i := 0; i < retries; i++ {
 		// Unreachable engines stop their sample-pool helpers from a GC
 		// cleanup; two cycles let the cleanup run and the helpers exit.
 		runtime.GC()
-		leaked = filter(stacks(), c)
+		leaked = filter(stacks())
 		if len(leaked) == 0 {
 			return nil
 		}
@@ -155,16 +135,16 @@ func stacks() []goroutineStack {
 	return out
 }
 
-// filter drops the current goroutine, test-framework goroutines, known
-// runtime background work, and anything the options ignore.
-func filter(gs []goroutineStack, c *config) []goroutineStack {
+// filter drops the current goroutine, test-framework goroutines and
+// known runtime background work.
+func filter(gs []goroutineStack) []goroutineStack {
 	cur := currentID()
 	var leaked []goroutineStack
 	for _, g := range gs {
 		if g.id == cur || len(g.funcs) == 0 {
 			continue
 		}
-		if isIgnored(g, c) {
+		if isIgnored(g) {
 			continue
 		}
 		leaked = append(leaked, g)
@@ -172,31 +152,15 @@ func filter(gs []goroutineStack, c *config) []goroutineStack {
 	return leaked
 }
 
-func isIgnored(g goroutineStack, c *config) bool {
+func isIgnored(g goroutineStack) bool {
 	for _, fn := range g.funcs {
 		// The test framework's own goroutines: testing.Main, tRunner,
 		// (*M).Run, fuzz workers, plus anything parked inside them.
 		if strings.HasPrefix(fn, "testing.") {
 			return true
 		}
-		for _, ig := range c.ignoreAny {
-			if fn == ig {
-				return true
-			}
-		}
 	}
-	top := g.funcs[0]
-	for _, ig := range defaultIgnoreTop {
-		if top == ig {
-			return true
-		}
-	}
-	for _, ig := range c.ignoreTop {
-		if top == ig {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(defaultIgnoreTop, g.funcs[0])
 }
 
 // currentID extracts the calling goroutine's id from its own stack.

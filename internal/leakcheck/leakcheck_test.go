@@ -19,8 +19,7 @@ func TestFindDetectsLeak(t *testing.T) {
 	// Give the goroutine a beat to park so its stack is attributable.
 	time.Sleep(10 * time.Millisecond)
 
-	c := &config{retries: 1}
-	leaked := filter(stacks(), c)
+	leaked := filter(stacks())
 	found := false
 	for _, g := range leaked {
 		for _, fn := range g.funcs {
@@ -37,22 +36,6 @@ func TestFindDetectsLeak(t *testing.T) {
 	<-done
 	if err := Find(); err != nil {
 		t.Fatalf("leak reported after worker exit: %v", err)
-	}
-}
-
-func TestIgnoreOptions(t *testing.T) {
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go leakyWorker(stop, done)
-	defer func() { close(stop); <-done }()
-	time.Sleep(10 * time.Millisecond)
-
-	const name = "repro/internal/leakcheck.leakyWorker"
-	if err := Find(IgnoreTopFunction(name)); err != nil {
-		t.Errorf("IgnoreTopFunction(%q) still reported: %v", name, err)
-	}
-	if err := Find(IgnoreAnyFunction(name)); err != nil {
-		t.Errorf("IgnoreAnyFunction(%q) still reported: %v", name, err)
 	}
 }
 

@@ -17,12 +17,6 @@ type Options struct {
 	// deviates from the FROM-clause order, so results are unchanged;
 	// reordering only changes how much work the join does.
 	Reorder bool
-	// NoPersistentIndexes makes the cost model gather its distinct-key
-	// statistics from transient index builds instead of building (and
-	// caching) the database's persistent equality indexes — set alongside
-	// the executor's NoDBIndexes toggle so that ablation never touches
-	// persistent state.
-	NoPersistentIndexes bool
 }
 
 // Build lowers a query into a Plan over the given database, validating
@@ -91,7 +85,7 @@ func Build(q *sqlast.Query, d *db.Database, opts Options) (*Plan, error) {
 
 	order := identityOrder(len(q.From))
 	if opts.Reorder && len(q.From) > 1 {
-		order = b.chooseOrder(order, edges, jedges, opts.NoPersistentIndexes)
+		order = b.chooseOrder(order, edges, jedges)
 	}
 
 	nullIDs, nullIndex := d.NumNullIndex()
@@ -379,7 +373,7 @@ type joinEdge struct {
 // estimated cost including the buffer-and-sort penalty every reordered
 // plan pays to restore derivation order (see exec.Run). Ties keep the
 // FROM order and its streaming guarantee.
-func (b *builder) chooseOrder(identity []int, edges [][]bool, jedges []joinEdge, transientStats bool) []int {
+func (b *builder) chooseOrder(identity []int, edges [][]bool, jedges []joinEdge) []int {
 	n := len(b.q.From)
 	size := make([]float64, n)
 	hasEdge := make([]bool, n)
@@ -396,18 +390,13 @@ func (b *builder) chooseOrder(identity []int, edges [][]bool, jedges []joinEdge,
 	// layout on first use, cached on the database afterwards and kept
 	// fresh by incremental index maintenance: an insert extends the
 	// cached groups in place, so the estimate tracks the live relation
-	// without a rebuild (or a
-	// transient build when persistent indexes are disabled).
+	// without a rebuild.
 	distinct := make(map[[2]int]float64)
 	fanout := func(t, c int) float64 {
 		key := [2]int{t, c}
 		dv, ok := distinct[key]
 		if !ok {
-			if transientStats {
-				dv = float64(b.d.BuildIndex(b.q.From[t].Relation, c).Distinct())
-			} else {
-				dv = float64(b.d.Index(b.q.From[t].Relation, c).Distinct())
-			}
+			dv = float64(b.d.Index(b.q.From[t].Relation, c).Distinct())
 			distinct[key] = dv
 		}
 		if dv <= 0 {

@@ -1,7 +1,7 @@
 package sqlfront
 
 // Parity suite for the planner/executor refactor: the streaming pipeline
-// (plan.Build + exec.Collect, under every toggle combination) must
+// (plan.Build + exec.Collect, with and without join reordering) must
 // reproduce the pre-refactor one-shot evaluator (reference_test.go)
 // byte for byte — candidates in derivation order, Phi DNFs with
 // disjuncts and atoms in derivation order, null indexing, and derivation
@@ -59,8 +59,8 @@ func compareResults(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// execCombos runs the query through the planner/executor under every
-// toggle combination and checks each against want.
+// execCombos runs the query through the planner/executor in FROM order
+// and reordered, and checks each against want.
 func execCombos(t *testing.T, q *Query, d *db.Database, want *Result) {
 	t.Helper()
 	for _, reorder := range []bool{false, true} {
@@ -68,20 +68,16 @@ func execCombos(t *testing.T, q *Query, d *db.Database, want *Result) {
 		if err != nil {
 			t.Fatalf("plan.Build(reorder=%v): %v", reorder, err)
 		}
-		for _, noIdx := range []bool{false, true} {
-			for _, noHash := range []bool{false, true} {
-				label := fmt.Sprintf("reorder=%v noIdx=%v noHash=%v [%s]", reorder, noIdx, noHash, q)
-				got, err := exec.Collect(p, d, exec.Options{NoDBIndexes: noIdx, NoHashJoin: noHash})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				compareResults(t, label, got, want)
-			}
+		label := fmt.Sprintf("reorder=%v [%s]", reorder, q)
+		got, err := exec.Collect(p, d, exec.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
+		compareResults(t, label, got, want)
 	}
 }
 
-// checkParity compares Evaluate and all executor combos with the
+// checkParity compares Evaluate and both join orders with the
 // reference evaluator, including error agreement.
 func checkParity(t *testing.T, q *Query, d *db.Database) {
 	t.Helper()

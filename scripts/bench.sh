@@ -6,13 +6,13 @@
 #   - BenchmarkFigure1aWorkersScaled: the worker benchmark sized to show
 #     multi-core sampling scaling (m = 40000 samples per candidate; the
 #     smaller BenchmarkFigure1aWorkers run is kept as the overhead bound);
-#   - BenchmarkSQLPipeline: naive/indexed/fused end-to-end pipelines over
+#   - BenchmarkSQLPipeline: indexed/fused end-to-end pipelines over
 #     the columnar executor (allocs/op guarded by scripts/alloc_check.sh);
 #   - BenchmarkSQLPipelineSweep: repeated-MeasureSQL ε-sweep showing the
 #     shared compiled-kernel cache of the fused measurement pool;
 #   - BenchmarkMixedInsertQuery: the write path — one insert + one
 #     indexed query per op under incremental index maintenance, with the
-#     snapshot (copy-on-write) and drop-and-rebuild regimes alongside;
+#     snapshot (copy-on-write) regime alongside;
 #   - BenchmarkInsertDurable: the durable write path (internal/wal) —
 #     one committed batch per op through validate/encode/append/fsync/
 #     apply, with the nosync and in-memory baselines alongside, so the

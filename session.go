@@ -25,7 +25,7 @@ type Session struct {
 }
 
 // NewSession returns a session over the database with the given engine
-// options (measurement knobs and planner toggles alike).
+// options.
 func NewSession(d *Database, opts EngineOptions) *Session {
 	return &Session{d: d, engine: core.New(opts)}
 }
@@ -72,7 +72,7 @@ func (s *Session) SQL(src string) (*SQLResult, error) {
 }
 
 // EvaluateSQL conditionally evaluates an already parsed query through
-// the planner/executor with the session's toggles.
+// the planner/executor.
 func (s *Session) EvaluateSQL(q *SQLQuery) (*SQLResult, error) {
 	return s.engine.EvaluateSQL(q, s.d)
 }

@@ -39,7 +39,6 @@ func TestSessionFusedPipeline(t *testing.T) {
 	// The adaptive race is covered by internal/core's adaptive suite.
 	for _, opts := range []arithdb.EngineOptions{
 		{Seed: 5, NoAdaptive: true},
-		{Seed: 5, NoAdaptive: true, DisableJoinReorder: true, DisableDBIndexes: true, DisableHashJoin: true},
 		{Seed: 5, NoAdaptive: true, Workers: 2},
 	} {
 		sess := arithdb.NewSession(d, opts)
