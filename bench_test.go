@@ -230,7 +230,12 @@ func BenchmarkFigure1c(b *testing.B) { benchFigure(b, "UnfairDiscount") }
 //     database indexes, followed by sequential measurement (the
 //     materialize-then-measure shape);
 //   - fused: Engine.MeasureSQL, streaming enumeration overlapped with
-//     concurrent measurement.
+//     concurrent measurement;
+//   - race: the served shape — the LIMIT 25 query through the adaptive
+//     race at ε = δ = 0.05, a fresh single-worker engine per request over
+//     one shared 1024-entry kernel cache. Its allocs/op guard the race's
+//     cut: candidates after the 25th certain one are never built,
+//     compiled or seeded.
 func BenchmarkSQLPipeline(b *testing.B) {
 	w := figureWorkload(b)
 	q, err := arithdb.ParseSQL(arithdb.QueryCompetitiveAdvantage)
@@ -267,6 +272,16 @@ func BenchmarkSQLPipeline(b *testing.B) {
 		engine := arithdb.NewEngine(base)
 		for i := 0; i < b.N; i++ {
 			if _, err := engine.MeasureSQL(q, w.db, eps, delta); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("race", func(b *testing.B) {
+		kernels := core.NewKernels(1024)
+		for i := 0; i < b.N; i++ {
+			engine := core.New(core.Options{Seed: 7, PoolWorkers: 1})
+			engine.UseKernels(kernels)
+			if _, err := engine.MeasureSQL(q, w.db, 0.05, 0.05); err != nil {
 				b.Fatal(err)
 			}
 		}

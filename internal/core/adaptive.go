@@ -28,6 +28,12 @@ import (
 // Candidates the intervals never separate run to the full budget m, at
 // which point their estimate is bit-identical to the fixed path's.
 //
+// Candidates after the k-th syntactically certain one (constraint ⊤, so
+// ν = 1 exactly) can never place — ties break toward the lower index —
+// so the race counts them and freezes them out before round 0 without
+// compiling or seeding them; the executor has already skipped building
+// their constraints (exec.Options.TopK).
+//
 // Determinism: every quantity is a pure function of (Options.Seed,
 // candidate index, formula, eps, delta, k). Per-candidate base seeds
 // come from itemOptions exactly as in MeasureBatch, chunk draws are pure
@@ -161,21 +167,45 @@ func (e *Engine) race(ctx context.Context, phis []realfmla.Formula, k int, eps, 
 	// borderline candidates run closer to the full budget.
 	logTerm := math.Log(2 * float64(n) * float64(totalRounds) / delta)
 
-	items := make([]*raceItem, n)
+	// hw starts at +Inf so a candidate frozen IN before its first draw
+	// (e.g. every candidate at round 0 when k ≥ n) cannot pass the eps
+	// width check and finalize with zero samples.
+	items := make([]raceItem, n)
 	for i := range items {
-		// hw starts at +Inf so a candidate frozen IN before its first
-		// draw (e.g. every candidate at round 0 when k ≥ n) cannot pass
-		// the eps width check and finalize with zero samples.
-		items[i] = &raceItem{idx: i, phi: phis[i], lo: 0, hi: 1, hw: math.Inf(1)}
+		items[i] = raceItem{idx: i, phi: phis[i], lo: 0, hi: 1, hw: math.Inf(1)}
 	}
-	// Prep every candidate exactly as the fixed path would: per-item
+	// The cut: once k candidates at indices ≤ b are syntactically certain
+	// (ν = 1 exactly), every candidate after b has k candidates ahead of
+	// it at every round (aheadOf breaks the tie toward the lower index),
+	// so it is frozen out at round 0 whatever its interval. Such a
+	// candidate is never prepared — not compiled, not seeded — and keeps
+	// the interval [0, 1]. The freeze decisions of the live candidates do
+	// not depend on that interval (a live candidate below 1 has the k
+	// certain ones ahead of it; one at 1 is ahead of every cut one either
+	// way), and n stays the full count in logTerm and rankCounts, so no
+	// bit moves.
+	live := n
+	for i, certain := 0, 0; i < n; i++ {
+		if _, ok := phis[i].(realfmla.FTrue); ok {
+			if certain++; certain == k {
+				live = i + 1
+				break
+			}
+		}
+	}
+	outCount := 0
+	for i := live; i < n; i++ {
+		items[i].out = true
+		outCount++
+	}
+	// Prep every live candidate exactly as the fixed path would: per-item
 	// seeding, shared kernels, exact methods first, base-seed draw for
 	// the samplers. Item preps are independent and pure, so fan-out over
 	// the pool engines cannot change any value.
-	e.forEachItem(ctx, n, func(eng *Engine, i int) { prepRaceItem(eng, items[i], m) })
-	for _, it := range items {
-		if it.err != nil {
-			return out, it.err
+	e.forEachItem(ctx, live, func(eng *Engine, i int) { prepRaceItem(eng, &items[i], m) })
+	for i := range items[:live] {
+		if err := items[i].err; err != nil {
+			return out, err
 		}
 	}
 
@@ -183,7 +213,7 @@ func (e *Engine) race(ctx context.Context, phis []realfmla.Formula, k int, eps, 
 	hi := make([]float64, n)
 	ahead := make([]int, n)
 	behind := make([]int, n)
-	inCount, outCount := 0, 0
+	inCount := 0
 	front, delivered := 0, 0
 
 	for round := 0; ; round++ {
@@ -193,11 +223,12 @@ func (e *Engine) race(ctx context.Context, phis []realfmla.Formula, k int, eps, 
 		// Freeze decisions from the current intervals. Frozen items keep
 		// their (still valid) last interval, so they stay in the ranking
 		// counts without drawing further.
-		for i, it := range items {
-			lo[i], hi[i] = it.lo, it.hi
+		for i := range items {
+			lo[i], hi[i] = items[i].lo, items[i].hi
 		}
 		rankCounts(lo, hi, ahead, behind)
-		for _, it := range items {
+		for i := range items {
+			it := &items[i]
 			if it.out || it.in {
 				continue
 			}
@@ -217,15 +248,15 @@ func (e *Engine) race(ctx context.Context, phis []realfmla.Formula, k int, eps, 
 		// Global closures: k winners found means everyone else is out;
 		// n-k losers found means every survivor is in.
 		if inCount == k {
-			for _, it := range items {
-				if !it.in && !it.out {
+			for i := range items {
+				if it := &items[i]; !it.in && !it.out {
 					it.out = true
 					outCount++
 				}
 			}
 		} else if outCount == n-k {
-			for _, it := range items {
-				if !it.in && !it.out {
+			for i := range items {
+				if it := &items[i]; !it.in && !it.out {
 					it.in = true
 					inCount++
 				}
@@ -233,7 +264,8 @@ func (e *Engine) race(ctx context.Context, phis []realfmla.Formula, k int, eps, 
 		}
 		// Finalize values: full budget reached, or frozen in with the
 		// interval width meeting the eps contract.
-		for _, it := range items {
+		for i := range items {
+			it := &items[i]
 			if it.done || it.out || it.exact {
 				continue
 			}
@@ -245,8 +277,8 @@ func (e *Engine) race(ctx context.Context, phis []realfmla.Formula, k int, eps, 
 			return out, err
 		}
 		allSettled := true
-		for _, it := range items {
-			if !it.out && !it.done {
+		for i := range items {
+			if !items[i].out && !items[i].done {
 				allSettled = false
 				break
 			}
@@ -262,8 +294,8 @@ func (e *Engine) race(ctx context.Context, phis []realfmla.Formula, k int, eps, 
 		if round < 31 && 1<<round < totalChunks {
 			target = 1 << round
 		}
-		e.forEachItem(ctx, n, func(eng *Engine, i int) {
-			it := items[i]
+		e.forEachItem(ctx, live, func(eng *Engine, i int) {
+			it := &items[i]
 			if it.out || it.done || it.exact || it.drawn >= target {
 				return
 			}
@@ -294,8 +326,8 @@ func (e *Engine) race(ctx context.Context, phis []realfmla.Formula, k int, eps, 
 	// undecided estimates ARE the full-budget values bit-for-bit.
 	if inCount < k {
 		var open []*raceItem
-		for _, it := range items {
-			if !it.in && !it.out {
+		for i := range items {
+			if it := &items[i]; !it.in && !it.out {
 				open = append(open, it)
 			}
 		}
@@ -323,8 +355,8 @@ func (e *Engine) race(ctx context.Context, phis []realfmla.Formula, k int, eps, 
 		}
 	}
 	out.delivered = delivered
-	for _, it := range items {
-		out.samplesDrawn += it.t
+	for i := range items {
+		out.samplesDrawn += items[i].t
 	}
 	return out, nil
 }
@@ -333,9 +365,9 @@ func (e *Engine) race(ctx context.Context, phis []realfmla.Formula, k int, eps, 
 // candidates are skipped, finalized winners are delivered with
 // consecutive positions, and the first still-racing candidate blocks
 // (its outcome decides whether later winners shift position).
-func raceFrontier(items []*raceItem, front, delivered *int, deliver func(pos, idx int, r Result) error) error {
+func raceFrontier(items []raceItem, front, delivered *int, deliver func(pos, idx int, r Result) error) error {
 	for *front < len(items) {
-		it := items[*front]
+		it := &items[*front]
 		if it.out {
 			*front++
 			continue

@@ -30,19 +30,20 @@ import (
 // Interrupt poll, delivery stops, and the cause is what the run returns.
 
 // candidateSource produces the candidate set of one run: the executor's
-// result, aggregated under limit, plus the marks of the candidates whose
-// constraint saturated to true mid-enumeration and were already handed to
-// onSaturated (nil marks: none were).
-type candidateSource func(limit int, interrupt func() error, onSaturated func(int, exec.Candidate)) (*exec.Result, []bool, error)
+// result, aggregated under limit and the race cut topK (exec.Options.TopK),
+// plus the marks of the candidates whose constraint saturated to true
+// mid-enumeration and were already handed to onSaturated (nil marks: none
+// were).
+type candidateSource func(limit, topK int, interrupt func() error, onSaturated func(int, exec.Candidate)) (*exec.Result, []bool, error)
 
 // fusedSource enumerates plan p over d, fused with aggregation
 // (exec.Aggregate).
 func (e *Engine) fusedSource(p *plan.Plan, d *db.Database) candidateSource {
-	return func(limit int, interrupt func() error, onSaturated func(int, exec.Candidate)) (*exec.Result, []bool, error) {
+	return func(limit, topK int, interrupt func() error, onSaturated func(int, exec.Candidate)) (*exec.Result, []bool, error) {
 		pl := *p
 		pl.Limit = limit
 		eo := e.ExecOptions()
-		eo.Interrupt = interrupt
+		eo.Interrupt, eo.TopK = interrupt, topK
 		return exec.Aggregate(&pl, d, eo, onSaturated)
 	}
 }
@@ -51,14 +52,16 @@ func (e *Engine) fusedSource(p *plan.Plan, d *db.Database) candidateSource {
 // staged enumeration itself. The caller applied the limit (see
 // MeasureCandidatesStream).
 func finishedSource(res *exec.Result) candidateSource {
-	return func(int, func() error, func(int, exec.Candidate)) (*exec.Result, []bool, error) {
+	return func(int, int, func() error, func(int, exec.Candidate)) (*exec.Result, []bool, error) {
 		return res, nil, nil
 	}
 }
 
 // measureCandidates runs the pipeline over src for a query with the
 // given LIMIT. With the race (RaceApplies) the whole field is enumerated
-// and the race delivers the k most certain candidates; otherwise every
+// — every distinct candidate counted, but the ones after the k-th
+// certain one never built (exec.Options.TopK) nor compiled or sampled
+// (race) — and the race delivers the k most certain candidates; otherwise every
 // candidate of the limited result is measured at the fixed budget —
 // saturated ones (constraint ⊤: no sample to draw) on the enumerating
 // goroutine the moment they saturate, so a streaming consumer sees them
@@ -78,15 +81,15 @@ func (e *Engine) measureCandidates(ctx context.Context, src candidateSource, lim
 	}
 
 	race := e.RaceApplies(limit)
-	aggLimit, onSaturated := limit, func(idx int, c exec.Candidate) {
+	aggLimit, topK, onSaturated := limit, 0, func(idx int, c exec.Candidate) {
 		if ctx.Err() == nil {
 			measure(e.seedItem(e.itemEngine(0), idx), idx, c, out.deliver)
 		}
 	}
 	if race {
-		aggLimit, onSaturated = 0, nil
+		aggLimit, topK, onSaturated = 0, limit, nil
 	}
-	res, saturated, err := src(aggLimit, func() error { return context.Cause(ctx) }, onSaturated)
+	res, saturated, err := src(aggLimit, topK, func() error { return context.Cause(ctx) }, onSaturated)
 	if err != nil {
 		return nil, err
 	}

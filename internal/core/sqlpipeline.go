@@ -33,7 +33,10 @@ func (e *Engine) ExecOptions() exec.Options {
 // hatch restoring the fixed-budget first-k-distinct semantics) are
 // measured at the fixed budget. A caller that aggregates candidates
 // itself must then aggregate the full field (enumerate with LIMIT 0)
-// before calling MeasureCandidatesStream with the limit.
+// before calling MeasureCandidatesStream with the limit. The race counts
+// every distinct candidate but never builds, compiles or samples the
+// ones after the k-th certain one; such a caller may set
+// exec.Options.TopK to the limit to skip building them too.
 func (e *Engine) RaceApplies(limit int) bool {
 	return limit > 0 && !e.opts.NoAdaptive
 }
@@ -95,7 +98,9 @@ type SQLStreamInfo struct {
 // per-candidate constraint aggregation, and every candidate's constraint
 // is measured (see pipeline.go). With a LIMIT, the query routes through
 // the adaptive top-k race by default (see MeasureTopK): every distinct
-// candidate is enumerated, candidates race on confidence intervals, and
+// candidate is enumerated — the ones after the k-th certain one counted
+// but never built, compiled or sampled — candidates race on confidence
+// intervals, and
 // the k most certain answers are returned in candidate order — typically
 // at a small fraction of the fixed k·m sampling budget when the measures
 // are skewed. SamplesDrawn and Rounds on the result report the spend.
@@ -185,8 +190,11 @@ func (e *Engine) MeasureSQLStream(ctx context.Context, q *sqlast.Query, d *db.Da
 // gets bit-identical measures (candidates are seeded by their index in
 // res.Candidates). The aggregation contract: when RaceApplies(limit), res
 // must hold the full candidate field (aggregated without the limit) and
-// the race delivers the top-k winners; otherwise res must already have
-// the limit applied (first-k-distinct) and every candidate is measured.
+// the race delivers the top-k winners (candidates after the k-th certain
+// one are counted but never compiled or sampled, so their entries may be
+// the zero Candidates of exec.Options.TopK); otherwise res must already
+// have the limit applied (first-k-distinct) and every candidate is
+// measured.
 func (e *Engine) MeasureCandidatesStream(ctx context.Context, res *exec.Result, limit int, eps, delta float64, yield func(idx int, c MeasuredCandidate) error) (*SQLStreamInfo, error) {
 	if err := ValidateEpsDelta(eps, delta); err != nil {
 		return nil, err

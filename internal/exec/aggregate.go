@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"container/heap"
 	"math"
 
 	"repro/internal/db"
@@ -41,9 +42,12 @@ type Result struct {
 // enter the limit window) but cost no memory beyond their key. This is
 // the Deriv-based path used when a reordered plan must buffer and sort
 // derivations; streaming plans go through the fused aggregation of
-// Aggregate, which never materializes non-kept tuples at all.
+// Aggregate, which never materializes non-kept tuples at all. With a
+// race cut (Options.TopK = k), candidates after the k-th saturated one
+// are counted but gather nothing, and come out as zero entries.
 type Aggregator struct {
 	limit int
+	cut   certainCut
 	byKey map[string]*agg
 	kept  []*agg
 	// onSaturated, when set, fires as soon as a kept candidate's
@@ -61,10 +65,10 @@ type agg struct {
 	saturated bool
 }
 
-// NewAggregator returns an aggregator for the given LIMIT (0 = none).
-// onSaturated may be nil.
-func NewAggregator(limit int, onSaturated func(idx int, c Candidate)) *Aggregator {
-	return &Aggregator{limit: limit, byKey: make(map[string]*agg), onSaturated: onSaturated}
+// NewAggregator returns an aggregator for the given LIMIT (0 = none) and
+// race cut (Options.TopK; 0 = none). onSaturated may be nil.
+func NewAggregator(limit, topK int, onSaturated func(idx int, c Candidate)) *Aggregator {
+	return &Aggregator{limit: limit, cut: newCertainCut(topK), byKey: make(map[string]*agg), onSaturated: onSaturated}
 }
 
 // Add folds one derivation in.
@@ -72,14 +76,17 @@ func (a *Aggregator) Add(d *Deriv) {
 	key := d.Tuple.Key()
 	g, ok := a.byKey[key]
 	if !ok {
-		g = &agg{tuple: d.Tuple, keep: a.limit <= 0 || len(a.kept) < a.limit}
+		g = &agg{keep: a.limit <= 0 || len(a.kept) < a.limit}
 		a.byKey[key] = g
 		if g.keep {
 			g.idx = len(a.kept)
 			a.kept = append(a.kept, g)
+			if g.idx < a.cut.dead {
+				g.tuple = d.Tuple
+			}
 		}
 	}
-	if !g.keep || g.saturated {
+	if !g.keep || g.saturated || g.idx >= a.cut.dead {
 		return
 	}
 	if len(d.Conj) == 0 {
@@ -87,6 +94,10 @@ func (a *Aggregator) Add(d *Deriv) {
 		// the candidate's Phi is final and the disjunct list can go.
 		g.saturated = true
 		g.disjuncts = nil
+		from, to := a.cut.saturate(g.idx, len(a.kept))
+		for _, c := range a.kept[from:to] {
+			c.tuple, c.disjuncts = nil, nil
+		}
 		if a.onSaturated != nil {
 			a.onSaturated(g.idx, Candidate{Tuple: g.tuple, Phi: realfmla.FTrue{}})
 		}
@@ -97,13 +108,13 @@ func (a *Aggregator) Add(d *Deriv) {
 
 // Finish returns the candidates in first-derivation order with the LIMIT
 // applied (nil when there are none), including any already reported
-// through onSaturated.
+// through onSaturated. Candidates past the race cut are zero entries.
 func (a *Aggregator) Finish() []Candidate {
 	if len(a.kept) == 0 {
 		return nil
 	}
 	out := make([]Candidate, len(a.kept))
-	for i, g := range a.kept {
+	for i, g := range a.kept[:min(len(a.kept), a.cut.dead)] {
 		phi := realfmla.Formula(realfmla.FTrue{})
 		if !g.saturated {
 			phi = realfmla.Or(g.disjuncts...)
@@ -137,6 +148,7 @@ type aggNode struct {
 // materialize their tuples and constraint atoms.
 type fusedAgg struct {
 	limit       int
+	cut         certainCut
 	byHash      map[uint64]*aggNode
 	kept        []*aggNode
 	onSaturated func(idx int, c Candidate)
@@ -145,8 +157,8 @@ type fusedAgg struct {
 	cellsBuf []uint64
 }
 
-func newFusedAgg(limit int, onSaturated func(int, Candidate)) *fusedAgg {
-	return &fusedAgg{limit: limit, byHash: make(map[uint64]*aggNode), onSaturated: onSaturated}
+func newFusedAgg(limit, topK int, onSaturated func(int, Candidate)) *fusedAgg {
+	return &fusedAgg{limit: limit, cut: newCertainCut(topK), byHash: make(map[uint64]*aggNode), onSaturated: onSaturated}
 }
 
 // encode computes the projected tuple's hash and encoded cells from the
@@ -211,17 +223,23 @@ func (f *fusedAgg) add(c *Cursor) {
 		f.byHash[h] = g
 		if g.keep {
 			g.idx = len(f.kept)
-			g.tuple = c.tuple()
 			f.kept = append(f.kept, g)
+			if g.idx < f.cut.dead {
+				g.tuple = c.tuple()
+			}
 		}
 	}
-	if !g.keep || g.saturated {
+	if !g.keep || g.saturated || g.idx >= f.cut.dead {
 		return
 	}
 	conj := c.conj()
 	if conj == nil {
 		g.saturated = true
 		g.disjuncts = nil
+		from, to := f.cut.saturate(g.idx, len(f.kept))
+		for _, n := range f.kept[from:to] {
+			n.tuple, n.disjuncts = nil, nil
+		}
 		if f.onSaturated != nil {
 			f.onSaturated(g.idx, Candidate{Tuple: g.tuple, Phi: realfmla.FTrue{}})
 		}
@@ -249,14 +267,63 @@ func (f *fusedAgg) finish() ([]Candidate, []bool) {
 	out := make([]Candidate, len(f.kept))
 	sat := make([]bool, len(f.kept))
 	for i, g := range f.kept {
+		sat[i] = g.saturated
+		if i >= f.cut.dead {
+			continue
+		}
 		phi := realfmla.Formula(realfmla.FTrue{})
 		if !g.saturated {
 			phi = realfmla.Or(g.disjuncts...)
 		}
 		out[i] = Candidate{Tuple: g.tuple, Phi: phi}
-		sat[i] = g.saturated
 	}
 	return out, sat
+}
+
+// certainCut is Options.TopK's bookkeeping: the k smallest indices of
+// saturated candidates, in a max-heap. Once k have saturated, every
+// candidate from dead = (the k-th smallest) + 1 on is cut.
+type certainCut struct {
+	k    int
+	sat  maxHeap
+	dead int // first cut index; MaxInt while fewer than k saturated
+}
+
+func newCertainCut(k int) certainCut { return certainCut{k: k, dead: math.MaxInt} }
+
+// saturate records that candidate idx (< c.dead) saturated, among n
+// candidates so far, and returns the index range [from, to) this newly
+// cuts.
+func (c *certainCut) saturate(idx, n int) (from, to int) {
+	switch {
+	case c.k <= 0:
+		return 0, 0
+	case len(c.sat) < c.k:
+		heap.Push(&c.sat, idx)
+	case idx < c.sat[0]:
+		c.sat[0] = idx
+		heap.Fix(&c.sat, 0)
+	}
+	if len(c.sat) < c.k {
+		return 0, 0
+	}
+	prev := c.dead
+	c.dead = c.sat[0] + 1
+	return min(c.dead, n), min(prev, n)
+}
+
+// maxHeap is a container/heap of ints, largest first.
+type maxHeap []int
+
+func (h maxHeap) Len() int           { return len(h) }
+func (h maxHeap) Less(i, j int) bool { return h[i] > h[j] }
+func (h maxHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *maxHeap) Push(x any)        { *h = append(*h, x.(int)) }
+func (h *maxHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 // interruptEvery trades poll cost against abort latency: checking a
@@ -276,12 +343,16 @@ const interruptEvery = 4096
 // grouping hashes the projected cells straight off the columnar arrays,
 // and tuples and constraint atoms are materialized only for kept
 // candidates — beyond-limit derivations are counted and nothing else.
+// With opts.TopK = k the same holds for every candidate after the k-th
+// saturated one, which cannot place in the LIMIT-k race: each distinct
+// tuple still gets its entry (a zero Candidate) and every derivation is
+// still counted, so the candidate count and Derivations do not change.
 // Reordered plans buffer materialized derivations to restore derivation
 // order first (see Run), then aggregate; results are identical.
 func Aggregate(p *plan.Plan, d *db.Database, opts Options, onSaturated func(int, Candidate)) (*Result, []bool, error) {
 	res := &Result{NullIDs: p.NullIDs, Index: p.Index}
 	if !p.Identity {
-		ag := NewAggregator(p.Limit, onSaturated)
+		ag := NewAggregator(p.Limit, opts.TopK, onSaturated)
 		if err := Run(p, d, opts, func(dv *Deriv) error {
 			res.Derivations++
 			if opts.Interrupt != nil && res.Derivations%interruptEvery == 0 {
@@ -302,7 +373,7 @@ func Aggregate(p *plan.Plan, d *db.Database, opts Options, onSaturated func(int,
 		return res, sat, nil
 	}
 	cur := NewCursor(p, d, opts)
-	f := newFusedAgg(p.Limit, onSaturated)
+	f := newFusedAgg(p.Limit, opts.TopK, onSaturated)
 	for cur.advance() {
 		res.Derivations++
 		if opts.Interrupt != nil && res.Derivations%interruptEvery == 0 {

@@ -53,6 +53,16 @@ type Options struct {
 	// query stops enumerating (the join space can be enormous) instead
 	// of running to completion for nobody.
 	Interrupt func() error
+	// TopK, when positive, is the k of a LIMIT-k query that the adaptive
+	// race will rank over the full candidate field (aggregated without a
+	// LIMIT). A candidate whose constraint saturates to true has measure
+	// exactly 1, and the race breaks ties toward the lower index, so once
+	// k candidates at indices ≤ b have saturated no candidate after b can
+	// place. Aggregate then materializes nothing more for those: their
+	// derivations are still counted and their keys still make the
+	// candidate count, but their result entries are zero Candidates (nil
+	// Tuple and Phi).
+	TopK int
 }
 
 // Deriv is one derivation: a surviving join combination. Tuple is the

@@ -116,7 +116,7 @@ func TestRunRestoresOrderAfterReorder(t *testing.T) {
 // candidate early through the hook.
 func TestAggregatorLimitAndSaturation(t *testing.T) {
 	var early []int
-	ag := exec.NewAggregator(1, func(idx int, c exec.Candidate) {
+	ag := exec.NewAggregator(1, 0, func(idx int, c exec.Candidate) {
 		early = append(early, idx)
 		if _, ok := c.Phi.(realfmla.FTrue); !ok {
 			t.Errorf("saturated Phi = %s", c.Phi)
@@ -138,5 +138,37 @@ func TestAggregatorLimitAndSaturation(t *testing.T) {
 	}
 	if len(early) != 1 || early[0] != 0 || !ag.Saturated(0) {
 		t.Errorf("early dispatch = %v", early)
+	}
+}
+
+// TestAggregatorTopKCut: with a race cut of k = 1, a candidate after the
+// first saturated one is cut — a zero entry — and a later saturation at a
+// lower index moves the cut down over a candidate that had already
+// saturated. Every distinct key still makes an entry.
+func TestAggregatorTopKCut(t *testing.T) {
+	ag := exec.NewAggregator(0, 1, nil)
+	atom := realfmla.FAtom{}
+	tup := func(s string) value.Tuple { return value.Tuple{value.Base(s)} }
+	ag.Add(&exec.Deriv{Tuple: tup("a"), Conj: []realfmla.Formula{atom}})
+	ag.Add(&exec.Deriv{Tuple: tup("b"), Conj: nil})                      // saturates 1: cut from 2 on
+	ag.Add(&exec.Deriv{Tuple: tup("c"), Conj: []realfmla.Formula{atom}}) // cut on arrival
+	ag.Add(&exec.Deriv{Tuple: tup("a"), Conj: []realfmla.Formula{atom}})
+	cands := ag.Finish()
+	if len(cands) != 3 || !cands[0].Tuple.Equal(tup("a")) || !cands[1].Tuple.Equal(tup("b")) {
+		t.Fatalf("candidates = %v", cands)
+	}
+	if or, ok := cands[0].Phi.(realfmla.FOr); !ok || len(or.Fs) != 2 {
+		t.Errorf("candidate 0 Phi = %s, want both disjuncts", cands[0].Phi)
+	}
+	if cands[2].Tuple != nil || cands[2].Phi != nil {
+		t.Errorf("cut candidate 2 = %v", cands[2])
+	}
+	ag.Add(&exec.Deriv{Tuple: tup("a"), Conj: nil}) // saturates 0: cut from 1 on
+	cands = ag.Finish()
+	if len(cands) != 3 || cands[1].Tuple != nil || cands[1].Phi != nil {
+		t.Fatalf("after the cut moved: %v", cands)
+	}
+	if _, ok := cands[0].Phi.(realfmla.FTrue); !ok {
+		t.Errorf("candidate 0 Phi = %s, want true", cands[0].Phi)
 	}
 }

@@ -346,3 +346,84 @@ func TestReorderedJoinRestoresDerivationOrder(t *testing.T) {
 	}
 	checkParity(t, q, d)
 }
+
+// checkTopKCut aggregates q's full candidate field (LIMIT 0), as the
+// LIMIT-k race does, with and without the race cut exec.Options.TopK = k,
+// on both plan shapes. The counts must agree; every candidate up to the
+// k-th saturated one must be identical, and every one after it a zero
+// entry.
+func checkTopKCut(t *testing.T, q *Query, d *db.Database, k int) {
+	t.Helper()
+	for _, reorder := range []bool{false, true} {
+		p, err := plan.Build(q, d, plan.Options{Reorder: reorder})
+		if err != nil {
+			return // error parity is checkParity's
+		}
+		pl := *p
+		pl.Limit = 0
+		label := fmt.Sprintf("TopK=%d reorder=%v identity=%v [%s]", k, reorder, p.Identity, q)
+		want, sat, err := exec.Aggregate(&pl, d, exec.Options{}, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		got, _, err := exec.Aggregate(&pl, d, exec.Options{TopK: k}, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if got.Derivations != want.Derivations || len(got.Candidates) != len(want.Candidates) {
+			t.Fatalf("%s: %d derivations / %d candidates, want %d / %d", label,
+				got.Derivations, len(got.Candidates), want.Derivations, len(want.Candidates))
+		}
+		live := len(want.Candidates)
+		for i, certain := 0, 0; i < len(sat); i++ {
+			if sat[i] {
+				if _, ok := want.Candidates[i].Phi.(realfmla.FTrue); !ok {
+					t.Fatalf("%s: saturated candidate %d has Phi %s", label, i, want.Candidates[i].Phi)
+				}
+				if certain++; certain == k {
+					live = i + 1
+					break
+				}
+			}
+		}
+		for i, w := range want.Candidates {
+			g := got.Candidates[i]
+			if i >= live {
+				if g.Phi != nil || g.Tuple != nil {
+					t.Fatalf("%s: candidate %d after the cut at %d = %v", label, i, live, g)
+				}
+				continue
+			}
+			if g.Tuple.Key() != w.Tuple.Key() || !realfmla.Equal(g.Phi, w.Phi) {
+				t.Fatalf("%s: live candidate %d = %v %s, want %v %s", label, i, g.Tuple, g.Phi, w.Tuple, w.Phi)
+			}
+		}
+	}
+}
+
+// TestAggregateTopKCut: the executor's race cut changes nothing the race
+// reads, on random queries and on the paper's three queries.
+func TestAggregateTopKCut(t *testing.T) {
+	for _, dbSeed := range []int64{11, 22, 33} {
+		d := genSales(t, dbSeed)
+		g := newQueryGen(rand.New(rand.NewSource(1000 * dbSeed)))
+		for i := 0; i < 60; i++ {
+			q := g.query()
+			for _, k := range []int{1, 3} {
+				checkTopKCut(t, q, d, k)
+			}
+		}
+	}
+	d, err := datagen.Generate(datagen.Config{
+		Seed: 2020, Products: 300, Orders: 200, Market: 60, Segments: 30,
+		NullRate: 0.1, MarketNullRate: 0.5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{datagen.CompetitiveAdvantage, datagen.NeverKnowinglyUndersold, datagen.UnfairDiscount} {
+		for _, k := range []int{1, 25, 1 << 20} {
+			checkTopKCut(t, MustParse(sql), d, k)
+		}
+	}
+}

@@ -7,7 +7,10 @@
 #     multi-core sampling scaling (m = 40000 samples per candidate; the
 #     smaller BenchmarkFigure1aWorkers run is kept as the overhead bound);
 #   - BenchmarkSQLPipeline: indexed/fused end-to-end pipelines over
-#     the columnar executor (allocs/op guarded by scripts/alloc_check.sh);
+#     the columnar executor, and race, the served LIMIT-k shape (a fresh
+#     engine per request over one shared kernel cache) that guards the
+#     race's cut after the k-th certain candidate (allocs/op guarded by
+#     scripts/alloc_check.sh);
 #   - BenchmarkSQLPipelineSweep: repeated-MeasureSQL ε-sweep showing the
 #     shared compiled-kernel cache of the fused measurement pool;
 #   - BenchmarkMixedInsertQuery: the write path — one insert + one
