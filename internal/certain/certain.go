@@ -103,13 +103,6 @@ func freshValue(a value.Value, v *db.Valuation) (value.Value, error) {
 	}
 }
 
-// AlmostCertain reports whether args is an almost-certain answer
-// (μ = 1) for a generic query: by [27] this holds iff naive evaluation
-// returns it.
-func AlmostCertain(q *fo.Query, d *db.Database, args []value.Value) (bool, error) {
-	return NaiveEval(q, d, args)
-}
-
 // HasIntegerRoot searches for an integer root of the multivariate
 // polynomial p with all |x_i| ≤ bound, by exhaustive search. This is the
 // bounded version of the undecidable question underlying Prop 4.1: the

@@ -84,9 +84,6 @@ func (c *Client) WithAttemptTimeout(d time.Duration) *Client {
 	return c
 }
 
-// Endpoints returns the configured endpoint list, primary first.
-func (c *Client) Endpoints() []string { return append([]string(nil), c.endpoints...) }
-
 // Current returns the endpoint currently serving reads.
 func (c *Client) Current() string {
 	c.mu.Lock()

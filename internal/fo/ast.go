@@ -217,20 +217,6 @@ func AndAll(fs ...Formula) Formula {
 	return out
 }
 
-// OrAll folds a list of formulas with disjunction; the empty disjunction is
-// False.
-func OrAll(fs ...Formula) Formula {
-	var out Formula = False{}
-	for i, f := range fs {
-		if i == 0 {
-			out = f
-		} else {
-			out = Or{out, f}
-		}
-	}
-	return out
-}
-
 // FreeVar is a free variable of a query together with its declared sort.
 type FreeVar struct {
 	Name string

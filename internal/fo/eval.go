@@ -48,32 +48,8 @@ type Instance[N any] struct {
 	numDomain  []N
 }
 
-// Domain returns the numeric domain operations of the instance.
-func (in *Instance[N]) Domain() Numeric[N] { return in.dom }
-
-// BaseDomain returns the active base domain (what base quantifiers range
-// over).
-func (in *Instance[N]) BaseDomain() []string { return in.baseDomain }
-
 // NumDomain returns the active numerical domain.
 func (in *Instance[N]) NumDomain() []N { return in.numDomain }
-
-// AddBaseDomain extends the active base domain (e.g. with constants from
-// the query or the candidate answer tuple).
-func (in *Instance[N]) AddBaseDomain(ss ...string) {
-	for _, s := range ss {
-		found := false
-		for _, t := range in.baseDomain {
-			if t == s {
-				found = true
-				break
-			}
-		}
-		if !found {
-			in.baseDomain = append(in.baseDomain, s)
-		}
-	}
-}
 
 // AddNumDomain extends the active numerical domain.
 func (in *Instance[N]) AddNumDomain(xs ...N) {
@@ -116,11 +92,6 @@ func Eval[N any](q *Query, inst *Instance[N], args []Cell[N]) (bool, error) {
 		env[fv.Name] = args[i]
 	}
 	return evalFormula(q.Body, inst, env)
-}
-
-// EvalFormula evaluates a bare formula under an explicit environment.
-func EvalFormula[N any](f Formula, inst *Instance[N], env map[string]Cell[N]) (bool, error) {
-	return evalFormula(f, inst, env)
 }
 
 func evalFormula[N any](f Formula, inst *Instance[N], env map[string]Cell[N]) (bool, error) {

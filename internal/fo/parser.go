@@ -45,24 +45,6 @@ func ParseQuery(input string) (*Query, error) {
 	return q, nil
 }
 
-// ParseFormula parses a bare formula (no head). Free variables must be
-// declared by the caller when the formula is wrapped into a Query.
-func ParseFormula(input string) (Formula, error) {
-	toks, err := lex(input)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	f, err := p.formula()
-	if err != nil {
-		return nil, err
-	}
-	if !p.atEOF() {
-		return nil, p.errf("unexpected trailing input %q", p.peek().text)
-	}
-	return f, nil
-}
-
 // MustParseQuery is ParseQuery that panics on error, for tests and
 // statically known queries in examples.
 func MustParseQuery(input string) *Query {

@@ -216,9 +216,6 @@ func (c *Compiled) build(f Formula, index map[uint64]int) cnode {
 	panic(fmt.Sprintf("realfmla: unknown node %T", f))
 }
 
-// NumAtoms returns the number of distinct atoms after deduplication.
-func (c *Compiled) NumAtoms() int { return len(c.atoms) }
-
 // Atoms returns the deduplicated atoms.
 func (c *Compiled) Atoms() []Atom { return c.atoms }
 
