@@ -60,8 +60,8 @@ func finishedSource(res *exec.Result) candidateSource {
 // measureCandidates runs the pipeline over src for a query with the
 // given LIMIT. With the race (RaceApplies) the whole field is enumerated
 // — every distinct candidate counted, but the ones after the k-th
-// certain one never built (exec.Options.TopK) nor compiled or sampled
-// (race) — and the race delivers the k most certain candidates; otherwise every
+// certain one never built (exec.Options.TopK), compiled or sampled —
+// and the race delivers the k most certain candidates; otherwise every
 // candidate of the limited result is measured at the fixed budget —
 // saturated ones (constraint ⊤: no sample to draw) on the enumerating
 // goroutine the moment they saturate, so a streaming consumer sees them

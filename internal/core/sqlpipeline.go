@@ -100,10 +100,10 @@ type SQLStreamInfo struct {
 // the adaptive top-k race by default (see MeasureTopK): every distinct
 // candidate is enumerated — the ones after the k-th certain one counted
 // but never built, compiled or sampled — candidates race on confidence
-// intervals, and
-// the k most certain answers are returned in candidate order — typically
-// at a small fraction of the fixed k·m sampling budget when the measures
-// are skewed. SamplesDrawn and Rounds on the result report the spend.
+// intervals, and the k most certain answers are returned in candidate
+// order — typically at a small fraction of the fixed k·m sampling budget
+// when the measures are skewed. SamplesDrawn and Rounds on the result
+// report the spend.
 // Options.NoAdaptive restores the fixed-budget first-k-distinct-tuples
 // semantics, where only the first k distinct tuples hold constraint state
 // and the full candidate list is never materialized.
