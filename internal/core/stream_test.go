@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -127,10 +128,10 @@ func TestMeasureSQLStreamMatchesSlice(t *testing.T) {
 					t.Run(fmt.Sprintf("limit=%d/noAdaptive=%v/pool=%d/%s", q.Limit, noAdaptive, pool, name), func(t *testing.T) {
 						got := entry(t)
 						if got.Derivations != want.Derivations || got.SamplesDrawn != want.SamplesDrawn ||
-							got.Rounds != want.Rounds || len(got.NullIDs) != len(want.NullIDs) {
-							t.Fatalf("summary %d/%d/%d/%d, want %d/%d/%d/%d",
-								got.Derivations, got.SamplesDrawn, got.Rounds, len(got.NullIDs),
-								want.Derivations, want.SamplesDrawn, want.Rounds, len(want.NullIDs))
+							got.Rounds != want.Rounds || !slices.Equal(got.NullIDs, want.NullIDs) {
+							t.Fatalf("summary %d/%d/%d/%v, want %d/%d/%d/%v",
+								got.Derivations, got.SamplesDrawn, got.Rounds, got.NullIDs,
+								want.Derivations, want.SamplesDrawn, want.Rounds, want.NullIDs)
 						}
 						if len(got.Candidates) != len(want.Candidates) {
 							t.Fatalf("%d candidates, want %d", len(got.Candidates), len(want.Candidates))

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -111,8 +112,8 @@ func assertParity(t testing.TB, label string, got *wire.MeasureResponse, want *c
 		t.Fatalf("%s: shape %d/%d, want %d/%d", label,
 			got.Count, got.Derivations, len(want.Candidates), want.Derivations)
 	}
-	if len(got.NullIDs) != len(want.NullIDs) {
-		t.Fatalf("%s: nullIds len %d, want %d", label, len(got.NullIDs), len(want.NullIDs))
+	if !slices.Equal(got.NullIDs, want.NullIDs) {
+		t.Fatalf("%s: nullIds %v, want %v", label, got.NullIDs, want.NullIDs)
 	}
 	for i, wc := range got.Candidates {
 		assertCandidateParity(t, label, i, wc, want.Candidates[i])

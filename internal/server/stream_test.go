@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -60,8 +61,8 @@ func TestServerStreamingOrder(t *testing.T) {
 		if done.Count != full.Count || done.Derivations != full.Derivations {
 			t.Fatalf("done event %d/%d, want %d/%d", done.Count, done.Derivations, full.Count, full.Derivations)
 		}
-		if len(done.NullIDs) != len(full.NullIDs) {
-			t.Fatalf("done nullIds len %d, want %d", len(done.NullIDs), len(full.NullIDs))
+		if !slices.Equal(done.NullIDs, full.NullIDs) {
+			t.Fatalf("done nullIds %v, want %v", done.NullIDs, full.NullIDs)
 		}
 	}
 }
