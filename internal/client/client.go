@@ -194,7 +194,24 @@ func (c *Client) do(ctx context.Context, base, method, path string, in, out any)
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return err
+	}
+	drain(resp.Body)
+	return nil
+}
+
+// drainLimit bounds drain: past it, dropping the connection is cheaper
+// than reading on.
+const drainLimit = 64 << 10
+
+// drain reads what is left of a response body that has been decoded to
+// the end of its value. The decoder stops short of the trailing newline
+// and the chunked terminator, and net/http drops a connection whose
+// body is closed before EOF instead of reusing it, so without this
+// every request would dial anew.
+func drain(body io.Reader) {
+	_, _ = io.CopyN(io.Discard, body, drainLimit)
 }
 
 func decodeError(resp *http.Response) error {
@@ -203,7 +220,9 @@ func decodeError(resp *http.Response) error {
 		se.RetryAfter = parseRetryAfter(ra)
 	}
 	var er wire.ErrorResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&er); err == nil && er.Error != "" {
+	err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&er)
+	drain(resp.Body)
+	if err == nil && er.Error != "" {
 		se.Msg = er.Error
 		if er.Code != "" {
 			se.Code = er.Code
@@ -387,6 +406,7 @@ func (c *Client) streamOnce(ctx context.Context, blob []byte, lastIdx *int, star
 			}
 			*lastIdx = ev.Idx
 		case wire.EventDone:
+			drain(resp.Body) // the server ends the stream right after done
 			return &ev, false, nil
 		case wire.EventError:
 			return nil, true, &ServerError{Status: http.StatusOK, Code: wire.CodeInternal, Msg: ev.Error}

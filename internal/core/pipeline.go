@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -66,7 +67,9 @@ func finishedSource(res *exec.Result) candidateSource {
 // saturated ones (constraint ⊤: no sample to draw) on the enumerating
 // goroutine the moment they saturate, so a streaming consumer sees them
 // mid-join, the rest fanned out once the join is done. yield only ever
-// runs on the calling goroutine.
+// runs on the calling goroutine. The returned NullIDs are the nulls the
+// delivered candidates' constraints mention, gathered as they are
+// delivered; nothing before measurement changes.
 func (e *Engine) measureCandidates(ctx context.Context, src candidateSource, limit int, eps, delta float64, yield func(int, MeasuredCandidate) error) (*SQLStreamInfo, error) {
 	ctx, fail := context.WithCancelCause(ctx)
 	defer fail(nil)
@@ -94,12 +97,7 @@ func (e *Engine) measureCandidates(ctx context.Context, src candidateSource, lim
 		return nil, err
 	}
 	cands := res.Candidates
-	info := &SQLStreamInfo{
-		Count:       len(cands),
-		NullIDs:     res.NullIDs,
-		Index:       res.Index,
-		Derivations: res.Derivations,
-	}
+	info := &SQLStreamInfo{Count: len(cands), Derivations: res.Derivations}
 	measureRest := func(deliver func(int, MeasuredCandidate)) {
 		e.forEachItem(ctx, len(cands), func(eng *Engine, idx int) {
 			if saturated == nil || !saturated[idx] {
@@ -148,6 +146,7 @@ func (e *Engine) measureCandidates(ctx context.Context, src candidateSource, lim
 	if err := context.Cause(ctx); err != nil {
 		return nil, err
 	}
+	info.NullIDs = out.nullIDs(res.NullIDs)
 	return info, nil
 }
 
@@ -199,13 +198,16 @@ func (e *Engine) forEachItem(ctx context.Context, n int, f func(eng *Engine, idx
 // mid-enumeration, pool workers finish in any order), parking a result
 // until every earlier index has been delivered. It belongs to the
 // goroutine that called measureCandidates. Once the run has failed it
-// delivers nothing more; a failing yield is what fails the run.
+// delivers nothing more; a failing yield is what fails the run. It
+// also collects the variables the delivered constraints mention, for
+// nullIDs.
 type orderedYield struct {
 	ctx     context.Context
 	fail    context.CancelCauseFunc
 	yield   func(int, MeasuredCandidate) error
 	pending map[int]MeasuredCandidate
 	next    int
+	vars    []int
 }
 
 func (oy *orderedYield) deliver(idx int, m MeasuredCandidate) {
@@ -221,6 +223,7 @@ func (oy *orderedYield) deliver(idx int, m MeasuredCandidate) {
 			oy.fail(err)
 			return
 		}
+		oy.vars = realfmla.AppendVars(oy.vars, m.Phi)
 		oy.next++
 		var ok bool
 		if m, ok = oy.pending[oy.next]; !ok {
@@ -228,4 +231,21 @@ func (oy *orderedYield) deliver(idx int, m MeasuredCandidate) {
 		}
 		delete(oy.pending, oy.next)
 	}
+}
+
+// nullIDs returns the ascending IDs of the nulls the delivered
+// candidates' constraints mention: the nulls the answer depends on
+// (Section 9's partial sampling; see realfmla.Reduce). inventory maps a
+// formula variable to its null ID, ascending, so the result is too.
+func (oy *orderedYield) nullIDs(inventory []int) []int {
+	slices.Sort(oy.vars)
+	vars := slices.Compact(oy.vars)
+	if len(vars) == 0 {
+		return nil
+	}
+	ids := make([]int, len(vars))
+	for i, v := range vars {
+		ids[i] = inventory[v]
+	}
+	return ids
 }

@@ -64,9 +64,8 @@ type MeasuredCandidate struct {
 // candidates in derivation order, each with its confidence level.
 type SQLMeasured struct {
 	Candidates []MeasuredCandidate
-	// NullIDs / Index / Derivations as in exec.Result.
+	// NullIDs and Derivations as in SQLStreamInfo.
 	NullIDs     []int
-	Index       map[int]int
 	Derivations int
 	// SamplesDrawn and Rounds report the adaptive top-k race's total
 	// sampling spend and round count (see SQLStreamInfo); zero when the
@@ -81,9 +80,13 @@ type SQLMeasured struct {
 type SQLStreamInfo struct {
 	// Count is the number of candidates delivered (after LIMIT).
 	Count int
-	// NullIDs / Index / Derivations as in exec.Result.
-	NullIDs     []int
-	Index       map[int]int
+	// NullIDs are the ascending IDs of the numerical nulls the delivered
+	// candidates' constraints mention — the nulls the answer depends on,
+	// not the database's whole inventory. A constraint's variable z_i
+	// still stands for the i-th null of that inventory
+	// (db.Database.NumNullIndex), not for NullIDs[i].
+	NullIDs []int
+	// Derivations as in exec.Result.
 	Derivations int
 	// SamplesDrawn and Rounds report the adaptive top-k race's total
 	// sampling spend (all candidates, frozen-out losers included) and
@@ -143,7 +146,7 @@ func collectSQL(stream func(yield func(int, MeasuredCandidate) error) (*SQLStrea
 	if err != nil {
 		return nil, err
 	}
-	out.NullIDs, out.Index, out.Derivations = info.NullIDs, info.Index, info.Derivations
+	out.NullIDs, out.Derivations = info.NullIDs, info.Derivations
 	out.SamplesDrawn, out.Rounds = info.SamplesDrawn, info.Rounds
 	return out, nil
 }

@@ -420,6 +420,25 @@ func (p Poly) RenameVars(vars []int) Poly {
 	return normalize(len(vars), ts)
 }
 
+// MapVars renames every variable v to ids[v], in an ambient space of
+// ids[len(ids)-1]+1 variables. ids must be strictly increasing: the
+// renaming is then monotone, so every term keeps its variable order and
+// the terms keep theirs, and the result is normalized without a sort.
+func (p Poly) MapVars(ids []int) Poly {
+	out := Poly{Terms: make([]Term, len(p.Terms))}
+	if len(ids) > 0 {
+		out.N = ids[len(ids)-1] + 1
+	}
+	for ti, t := range p.Terms {
+		vs := make([]VarPow, len(t.Vars))
+		for i, v := range t.Vars {
+			vs[i] = VarPow{Var: ids[v.Var], Pow: v.Pow}
+		}
+		out.Terms[ti] = Term{Coef: t.Coef, Vars: vs}
+	}
+	return out
+}
+
 // Equal reports syntactic equality of normalized polynomials.
 // Coefficients compare at the bit level (Float64bits): Equal guards the
 // compiled-kernel cache's fingerprint-collision check, so it must only

@@ -244,3 +244,29 @@ func TestRenameVars(t *testing.T) {
 	}()
 	p.RenameVars([]int{9, 4093})
 }
+
+// TestMapVars: a strictly increasing renaming leaves the polynomial in
+// normal form (re-normalizing changes nothing), and RenameVars over the
+// same list is its inverse.
+func TestMapVars(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		p := randPoly(r, 4)
+		ids := make([]int, 4)
+		prev := -1
+		for i := range ids {
+			prev += 1 + r.Intn(50)
+			ids[i] = prev
+		}
+		q := p.MapVars(ids)
+		if q.N != ids[3]+1 {
+			t.Fatalf("N = %d, want %d", q.N, ids[3]+1)
+		}
+		if renorm := q.Add(Zero(q.N)); !q.Equal(renorm) {
+			t.Fatalf("MapVars(%s, %v) = %s: not normalized (%s)", p, ids, q, renorm)
+		}
+		if back := q.RenameVars(ids); !back.Equal(p) {
+			t.Fatalf("RenameVars(MapVars(%s)) = %s", p, back)
+		}
+	}
+}

@@ -28,6 +28,22 @@ func MapAtoms(f Formula, fn func(Atom) Formula) Formula {
 	panic("realfmla: unknown node")
 }
 
+// AppendVars appends the variable of every variable occurrence in f's
+// atoms to dst, left to right and duplicates included, and returns the
+// extended slice: the raw material of Reduce, and of a caller that wants
+// the nulls a set of formulas mentions (sort and compact once at the end).
+func AppendVars(dst []int, f Formula) []int {
+	walkAtoms(f, func(a Atom) bool {
+		for _, t := range a.P.Terms {
+			for _, v := range t.Vars {
+				dst = append(dst, v.Var)
+			}
+		}
+		return true
+	})
+	return dst
+}
+
 // Reduce re-embeds the formula into the smallest variable space: variables
 // not occurring in any atom are dropped. It returns the reduced formula and
 // the list of original variable indices, in order (vars[j] is the original
@@ -47,15 +63,7 @@ func Reduce(f Formula) (Formula, []int) {
 	// A candidate's occurrences usually fit on the stack; vars is copied
 	// out at its deduplicated length.
 	var buf [64]int
-	used := buf[:0]
-	walkAtoms(f, func(a Atom) bool {
-		for _, t := range a.P.Terms {
-			for _, v := range t.Vars {
-				used = append(used, v.Var)
-			}
-		}
-		return true
-	})
+	used := AppendVars(buf[:0], f)
 	slices.Sort(used)
 	var vars []int
 	if used = slices.Compact(used); len(used) > 0 {

@@ -59,6 +59,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/db"
+	"repro/internal/realfmla"
 	"repro/internal/shard"
 	"repro/internal/sqlast"
 	"repro/internal/sqlfront"
@@ -519,15 +520,34 @@ func (s *Server) recordRun(samplesDrawn, rounds int) {
 	}
 }
 
-func toWireCandidate(c core.MeasuredCandidate, includePhi bool) wire.MeasuredCandidate {
+// toWireCandidate converts one measured candidate; phi, when not nil,
+// renders its constraint (see phiRenderer).
+func toWireCandidate(c core.MeasuredCandidate, phi func(realfmla.Formula) string) wire.MeasuredCandidate {
 	out := wire.MeasuredCandidate{
 		Tuple:   wire.FromTuple(c.Tuple),
 		Measure: wire.FromResult(c.Measure),
 	}
-	if includePhi {
-		out.Phi = fmt.Sprint(c.Phi)
+	if phi != nil {
+		out.Phi = phi(c.Phi)
 	}
 	return out
+}
+
+// phiRenderer is includePhi's constraint renderer over snapshot d, nil
+// without includePhi. It writes each variable z_i as z<id>, id the null
+// it stands for — the i-th of d's ascending inventory (NumNullIndex) —
+// so the text reads against the response's nullIds. The renaming is
+// monotone, so every term keeps its variable order.
+func phiRenderer(d *db.Database, includePhi bool) func(realfmla.Formula) string {
+	if !includePhi {
+		return nil
+	}
+	ids, _ := d.NumNullIndex()
+	return func(phi realfmla.Formula) string {
+		return fmt.Sprint(realfmla.MapAtoms(phi, func(a realfmla.Atom) realfmla.Formula {
+			return realfmla.FAtom{A: realfmla.Atom{P: a.P.MapVars(ids), Rel: a.Rel}}
+		}))
+	}
 }
 
 // acquireSlot is the shared admission sequence of the measuring
@@ -549,17 +569,17 @@ func (s *Server) acquireSlot(w http.ResponseWriter, r *http.Request) (release fu
 // its slot promptly instead of computing results nobody reads. The
 // request's engine is pinned to one database snapshot for its whole
 // life, so concurrent inserts never shift the data under a running
-// query.
-func (s *Server) measureSQL(w http.ResponseWriter, r *http.Request, q *sqlast.Query, eps, delta float64) (*core.SQLMeasured, bool) {
+// query. includePhi adds the constraints' text (see phiRenderer).
+func (s *Server) measureSQL(w http.ResponseWriter, r *http.Request, q *sqlast.Query, eps, delta float64, includePhi bool) (wire.MeasureResponse, bool) {
 	d, ok := s.snapshot(w)
 	if !ok {
-		return nil, false
+		return wire.MeasureResponse{}, false
 	}
 	res, err := s.engine().MeasureSQLContext(r.Context(), q, d, eps, delta)
 	switch {
 	case err == nil:
 		s.recordRun(res.SamplesDrawn, res.Rounds)
-		return res, true
+		return toMeasureResponse(res, phiRenderer(d, includePhi)), true
 	case r.Context().Err() != nil:
 		// Client gone; best-effort status for the log, nobody reads it.
 		s.writeError(w, 499, wire.CodeBadRequest, err.Error())
@@ -568,7 +588,7 @@ func (s *Server) measureSQL(w http.ResponseWriter, r *http.Request, q *sqlast.Qu
 		// can be at fault (unknown relation/column, ill-typed predicate).
 		s.writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
 	}
-	return nil, false
+	return wire.MeasureResponse{}, false
 }
 
 func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
@@ -594,14 +614,14 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		s.streamMeasure(w, r, q, eps, delta, req.IncludePhi)
 		return
 	}
-	res, ok := s.measureSQL(w, r, q, eps, delta)
+	res, ok := s.measureSQL(w, r, q, eps, delta, req.IncludePhi)
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, toMeasureResponse(res, req.IncludePhi))
+	writeJSON(w, http.StatusOK, res)
 }
 
-func toMeasureResponse(res *core.SQLMeasured, includePhi bool) wire.MeasureResponse {
+func toMeasureResponse(res *core.SQLMeasured, phi func(realfmla.Formula) string) wire.MeasureResponse {
 	out := wire.MeasureResponse{
 		Count:        len(res.Candidates),
 		Derivations:  res.Derivations,
@@ -611,7 +631,7 @@ func toMeasureResponse(res *core.SQLMeasured, includePhi bool) wire.MeasureRespo
 		Candidates:   make([]wire.MeasuredCandidate, 0, len(res.Candidates)),
 	}
 	for _, c := range res.Candidates {
-		out.Candidates = append(out.Candidates, toWireCandidate(c, includePhi))
+		out.Candidates = append(out.Candidates, toWireCandidate(c, phi))
 	}
 	return out
 }
@@ -629,17 +649,18 @@ func (s *Server) streamMeasure(w http.ResponseWriter, r *http.Request, q *sqlast
 	// admission slot frees promptly instead of measuring into the void.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
+	d, ok := s.snapshot(w)
+	if !ok {
+		return
+	}
+	phi := phiRenderer(d, includePhi)
 	deliver := func(idx int, c core.MeasuredCandidate) error {
-		wc := toWireCandidate(c, includePhi)
+		wc := toWireCandidate(c, phi)
 		if err := ew.write(wire.Event{Event: wire.EventCandidate, Idx: idx, Candidate: &wc}); err != nil {
 			cancel()
 			return err
 		}
 		return nil
-	}
-	d, ok := s.snapshot(w)
-	if !ok {
-		return
 	}
 	info, err := s.engine().MeasureSQLStream(ctx, q, d, eps, delta, deliver)
 	if err != nil {
@@ -866,12 +887,12 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	start := time.Now()
-	res, ok := s.measureSQL(w, r, q, eps, delta)
+	res, ok := s.measureSQL(w, r, q, eps, delta, false)
 	if !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, wire.ExperimentRunResponse{
-		MeasureResponse: toMeasureResponse(res, false),
+		MeasureResponse: res,
 		Seconds:         time.Since(start).Seconds(),
 	})
 }

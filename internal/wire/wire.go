@@ -187,7 +187,8 @@ type MeasureRequest struct {
 	// the request prefers text/event-stream) instead of one JSON body.
 	Stream bool `json:"stream,omitempty"`
 	// IncludePhi adds each candidate's constraint, rendered as text, to
-	// the response.
+	// the response. The text names each numerical null by its ID, z<id>,
+	// so every null it names is listed in the response's nullIds.
 	IncludePhi bool `json:"includePhi,omitempty"`
 }
 
@@ -204,7 +205,10 @@ type MeasureResponse struct {
 	Candidates  []MeasuredCandidate `json:"candidates"`
 	Count       int                 `json:"count"`
 	Derivations int                 `json:"derivations"`
-	NullIDs     []int               `json:"nullIds,omitempty"`
+	// NullIDs are the ascending IDs of the numerical nulls the returned
+	// candidates' constraints mention — the nulls the answer depends on,
+	// not the database's inventory (its size is InfoResponse.NumNulls).
+	NullIDs []int `json:"nullIds,omitempty"`
 	// SamplesDrawn and Rounds report the adaptive top-k race's total
 	// sampling spend and round count for this query (core.SQLMeasured);
 	// omitted when the query did not route through the race.
@@ -227,8 +231,9 @@ type Event struct {
 	// EventCandidate fields.
 	Idx       int                `json:"idx"`
 	Candidate *MeasuredCandidate `json:"candidate,omitempty"`
-	// EventDone fields. SamplesDrawn/Rounds summarize the adaptive race
-	// as in MeasureResponse.
+	// EventDone fields. NullIDs lists the nulls the delivered candidates
+	// mention and SamplesDrawn/Rounds summarize the adaptive race, as in
+	// MeasureResponse.
 	Count        int   `json:"count"`
 	Derivations  int   `json:"derivations"`
 	NullIDs      []int `json:"nullIds,omitempty"`
