@@ -5,7 +5,7 @@ GOFMT ?= gofmt
 # dev containers cannot go install it).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: check vet build test race lint-check bench-smoke benchmark-smoke bench bench-check fuzz-smoke crash-check replica-check shard-check
+.PHONY: check vet build test race lint-check bench-smoke benchmark-smoke bench bench-record bench-check fuzz-smoke crash-check replica-check shard-check
 
 # check is what CI runs: static checks, build, tests, the determinism
 # lint gate, a one-iteration benchmark smoke so the Figure 1 pipeline
@@ -61,6 +61,13 @@ benchmark-smoke:
 # the performance trajectory across PRs.
 bench:
 	scripts/bench.sh
+
+# bench-record writes BENCH_<date>_pr<N>.json, one point of the
+# trajectory: the bench family above plus one benchmark/run.sh pass over
+# every BENCHMARK.json workload, compared with the previous record when
+# there is one (scripts/bench_record.sh). Usage: make bench-record PR=<N>
+bench-record:
+	scripts/bench_record.sh $(PR)
 
 # bench-check is the performance-regression guard (CI runs it alongside
 # the race job): the SQL pipeline benchmarks must stay within the

@@ -41,12 +41,13 @@
 # Usage: scripts/bench.sh [bench-regexp] [benchtime]
 #   scripts/bench.sh                 # the default family below, -benchtime 1s
 #   scripts/bench.sh Figure1a 5x     # quicker, single series
+# BENCH_OUT names the output file instead (scripts/bench_record.sh).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 bench="${1:-Figure1|SQLPipeline|MixedInsertQuery|InsertDurable|ServerThroughput|AdaptiveTopK|ReplicaCatchup|ShardedScatterGather|Reduce}"
 benchtime="${2:-1s}"
-out="BENCH_$(date +%Y-%m-%d).json"
+out="${BENCH_OUT:-BENCH_$(date +%Y-%m-%d).json}"
 
 raw="$(go test -run '^$' -bench "$bench" -benchmem -benchtime "$benchtime" . ./internal/server ./internal/replica ./internal/shard ./internal/realfmla)"
 printf '%s\n' "$raw"
