@@ -69,7 +69,7 @@ func finishedSource(res *exec.Result) candidateSource {
 // mid-join, the rest fanned out once the join is done. yield only ever
 // runs on the calling goroutine. The returned NullIDs are the nulls the
 // delivered candidates' constraints mention, gathered as they are
-// delivered; nothing before measurement changes.
+// delivered, so no input to measurement depends on them.
 func (e *Engine) measureCandidates(ctx context.Context, src candidateSource, limit int, eps, delta float64, yield func(int, MeasuredCandidate) error) (*SQLStreamInfo, error) {
 	ctx, fail := context.WithCancelCause(ctx)
 	defer fail(nil)

@@ -28,10 +28,10 @@ func MapAtoms(f Formula, fn func(Atom) Formula) Formula {
 	panic("realfmla: unknown node")
 }
 
-// AppendVars appends the variable of every variable occurrence in f's
-// atoms to dst, left to right and duplicates included, and returns the
-// extended slice: the raw material of Reduce, and of a caller that wants
-// the nulls a set of formulas mentions (sort and compact once at the end).
+// AppendVars appends to dst the variable of each occurrence in f's atoms,
+// left to right, duplicates included: the raw material of Reduce, and of
+// a caller collecting the nulls a set of formulas mentions (sort and
+// compact once at the end).
 func AppendVars(dst []int, f Formula) []int {
 	walkAtoms(f, func(a Atom) bool {
 		for _, t := range a.P.Terms {
