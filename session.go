@@ -11,6 +11,10 @@ import (
 type MeasuredSQLCandidate = core.MeasuredCandidate
 
 // SQLMeasured is the output of Session.MeasureSQL / Engine.MeasureSQL.
+// Its NullIDs lists only the nulls the candidates' constraints mention,
+// in ascending order; it does not map a constraint's variable z_i to a
+// null. That mapping (which the removed Index field used to invert) is
+// Database.NumNullIndex: z_i stands for its first result's i-th null.
 type SQLMeasured = core.SQLMeasured
 
 // Session ties a database to an engine configuration and runs the fused
@@ -95,7 +99,9 @@ func (s *Session) MeasureSQLQuery(q *SQLQuery, eps, delta float64) (*SQLMeasured
 	return s.engine.MeasureSQL(q, s.d, eps, delta)
 }
 
-// SQLStreamInfo summarizes a completed MeasureSQLStream run.
+// SQLStreamInfo summarizes a completed MeasureSQLStream run. As in
+// SQLMeasured, NullIDs lists the mentioned nulls, not z_i's null; use
+// Database.NumNullIndex for that mapping.
 type SQLStreamInfo = core.SQLStreamInfo
 
 // MeasureSQLStream is the streaming form of MeasureSQL: each measured
