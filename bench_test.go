@@ -235,7 +235,12 @@ func BenchmarkFigure1c(b *testing.B) { benchFigure(b, "UnfairDiscount") }
 //     race at ε = δ = 0.05, a fresh single-worker engine per request over
 //     one shared 1024-entry kernel cache. Its allocs/op guard the race's
 //     cut: candidates after the 25th certain one are never built,
-//     compiled or seeded.
+//     compiled or seeded;
+//   - race-nku: the same served shape on Never Knowingly Undersold
+//     LIMIT 25, whose planner reorders the joins (order [1 0 2]). Its
+//     allocs/op guard the reordered plans' aggregation: derivations are
+//     buffered as row ordinals and replayed through the same fold, so
+//     only live candidates materialize their tuples and atoms.
 func BenchmarkSQLPipeline(b *testing.B) {
 	w := figureWorkload(b)
 	q, err := arithdb.ParseSQL(arithdb.QueryCompetitiveAdvantage)
@@ -276,16 +281,24 @@ func BenchmarkSQLPipeline(b *testing.B) {
 			}
 		}
 	})
-	b.Run("race", func(b *testing.B) {
-		kernels := core.NewKernels(1024)
-		for i := 0; i < b.N; i++ {
-			engine := core.New(core.Options{Seed: 7, PoolWorkers: 1})
-			engine.UseKernels(kernels)
-			if _, err := engine.MeasureSQL(q, w.db, 0.05, 0.05); err != nil {
-				b.Fatal(err)
+	served := func(q *arithdb.SQLQuery) func(b *testing.B) {
+		return func(b *testing.B) {
+			kernels := core.NewKernels(1024)
+			for i := 0; i < b.N; i++ {
+				engine := core.New(core.Options{Seed: 7, PoolWorkers: 1})
+				engine.UseKernels(kernels)
+				if _, err := engine.MeasureSQL(q, w.db, 0.05, 0.05); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("race", served(q))
+	nku, err := arithdb.ParseSQL(arithdb.QueryNeverKnowinglyUndersold)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("race-nku", served(nku))
 }
 
 // BenchmarkSQLPipelineSweep measures the shared compiled-kernel cache of
