@@ -3,6 +3,7 @@ package exec
 import (
 	"container/heap"
 	"math"
+	"slices"
 
 	"repro/internal/db"
 	"repro/internal/plan"
@@ -33,99 +34,6 @@ type Result struct {
 	// conditions (the size of the naive join result).
 	Derivations int
 }
-
-// Aggregator folds a stream of materialized derivations into distinct
-// candidate tuples: per distinct projected tuple (in first-derivation
-// order) the disjunction of its derivations' constraint conjunctions.
-// With a positive limit, only the first `limit` distinct tuples keep
-// their constraint disjuncts — later tuples are tracked (they can never
-// enter the limit window) but cost no memory beyond their key. This is
-// the Deriv-based path used when a reordered plan must buffer and sort
-// derivations; streaming plans go through the fused aggregation of
-// Aggregate, which never materializes non-kept tuples at all. With a
-// race cut (Options.TopK = k), candidates after the k-th saturated one
-// are counted but gather nothing, and come out as zero entries.
-type Aggregator struct {
-	limit int
-	cut   certainCut
-	byKey map[string]*agg
-	kept  []*agg
-	// onSaturated, when set, fires as soon as a kept candidate's
-	// constraint collapses to true (a derivation with no constraint
-	// atoms): its Phi can no longer change, so a fused pipeline may start
-	// measuring it while enumeration continues.
-	onSaturated func(idx int, c Candidate)
-}
-
-type agg struct {
-	idx       int
-	tuple     value.Tuple
-	disjuncts []realfmla.Formula
-	keep      bool
-	saturated bool
-}
-
-// NewAggregator returns an aggregator for the given LIMIT (0 = none) and
-// race cut (Options.TopK; 0 = none). onSaturated may be nil.
-func NewAggregator(limit, topK int, onSaturated func(idx int, c Candidate)) *Aggregator {
-	return &Aggregator{limit: limit, cut: newCertainCut(topK), byKey: make(map[string]*agg), onSaturated: onSaturated}
-}
-
-// Add folds one derivation in.
-func (a *Aggregator) Add(d *Deriv) {
-	key := d.Tuple.Key()
-	g, ok := a.byKey[key]
-	if !ok {
-		g = &agg{keep: a.limit <= 0 || len(a.kept) < a.limit}
-		a.byKey[key] = g
-		if g.keep {
-			g.idx = len(a.kept)
-			a.kept = append(a.kept, g)
-			if g.idx < a.cut.dead {
-				g.tuple = d.Tuple
-			}
-		}
-	}
-	if !g.keep || g.saturated || g.idx >= a.cut.dead {
-		return
-	}
-	if len(d.Conj) == 0 {
-		// An unconditional derivation: Or(..., true, ...) collapses, so
-		// the candidate's Phi is final and the disjunct list can go.
-		g.saturated = true
-		g.disjuncts = nil
-		from, to := a.cut.saturate(g.idx, len(a.kept))
-		for _, c := range a.kept[from:to] {
-			c.tuple, c.disjuncts = nil, nil
-		}
-		if a.onSaturated != nil {
-			a.onSaturated(g.idx, Candidate{Tuple: g.tuple, Phi: realfmla.FTrue{}})
-		}
-		return
-	}
-	g.disjuncts = append(g.disjuncts, realfmla.And(d.Conj...))
-}
-
-// Finish returns the candidates in first-derivation order with the LIMIT
-// applied (nil when there are none), including any already reported
-// through onSaturated. Candidates past the race cut are zero entries.
-func (a *Aggregator) Finish() []Candidate {
-	if len(a.kept) == 0 {
-		return nil
-	}
-	out := make([]Candidate, len(a.kept))
-	for i, g := range a.kept[:min(len(a.kept), a.cut.dead)] {
-		phi := realfmla.Formula(realfmla.FTrue{})
-		if !g.saturated {
-			phi = realfmla.Or(g.disjuncts...)
-		}
-		out[i] = Candidate{Tuple: g.tuple, Phi: phi}
-	}
-	return out
-}
-
-// Saturated reports whether candidate idx was finalized early.
-func (a *Aggregator) Saturated(idx int) bool { return a.kept[idx].saturated }
 
 // aggNode is one distinct projected tuple of the fused aggregation,
 // keyed by the encoded columnar cells (kind + payload per position) so
@@ -329,51 +237,39 @@ func (h *maxHeap) Pop() any {
 // interruptEvery trades poll cost against abort latency: checking a
 // context every ~4k derivations is invisible in the profile but bounds
 // how long a cancelled query keeps enumerating. Every derivation loop
-// (Aggregate's two paths and Run's reorder buffer) polls on this cadence
-// — the ctxpoll analyzer enforces that new ones do too.
+// (Aggregate's enumeration, and its replay of a reordered plan's
+// bindings) polls on this cadence — the ctxpoll analyzer enforces that
+// new ones do too.
 const interruptEvery = 4096
 
 // Aggregate runs the plan and folds its derivation stream into the
 // distinct candidate tuples with their constraints, in first-derivation
 // order with the plan's LIMIT applied. The returned bool slice marks
-// candidates whose constraint saturated to true mid-enumeration (and
-// were already reported through onSaturated, when set).
+// candidates whose constraint saturated to true mid-fold (and were
+// already reported through onSaturated, when set).
 //
-// On streaming (Identity) plans the fold is fused into the cursor:
-// grouping hashes the projected cells straight off the columnar arrays,
-// and tuples and constraint atoms are materialized only for kept
-// candidates — beyond-limit derivations are counted and nothing else.
-// With opts.TopK = k the same holds for every candidate after the k-th
-// saturated one, which cannot place in the LIMIT-k race: each distinct
-// tuple still gets its entry (a zero Candidate) and every derivation is
-// still counted, so the candidate count and Derivations do not change.
-// Reordered plans buffer materialized derivations to restore derivation
-// order first (see Run), then aggregate; results are identical.
+// The fold is fused into the cursor: grouping hashes the projected cells
+// straight off the columnar arrays, and tuples and constraint atoms are
+// materialized only for kept candidates — beyond-limit derivations are
+// counted and nothing else. With opts.TopK = k the same holds for every
+// candidate after the k-th saturated one, which cannot place in the
+// LIMIT-k race: each distinct tuple still gets its entry (a zero
+// Candidate) and every derivation is still counted, so the candidate
+// count and Derivations do not change.
+//
+// On an Identity plan each surviving binding is folded as it is
+// enumerated. A reordered plan enumerates in another order, so each
+// surviving binding only appends its row ordinals, in FROM order, to one
+// flat slab — 4·|FROM| bytes per binding, plus a 4-byte index per
+// binding for the sort. The bindings are then replayed through the same
+// fold in derivation order (see replay); results are identical. The
+// enumeration loop and the replay loop each poll opts.Interrupt every
+// interruptEvery bindings.
 func Aggregate(p *plan.Plan, d *db.Database, opts Options, onSaturated func(int, Candidate)) (*Result, []bool, error) {
 	res := &Result{NullIDs: p.NullIDs, Index: p.Index}
-	if !p.Identity {
-		ag := NewAggregator(p.Limit, opts.TopK, onSaturated)
-		if err := Run(p, d, opts, func(dv *Deriv) error {
-			res.Derivations++
-			if opts.Interrupt != nil && res.Derivations%interruptEvery == 0 {
-				if err := opts.Interrupt(); err != nil {
-					return err
-				}
-			}
-			ag.Add(dv)
-			return nil
-		}); err != nil {
-			return nil, nil, err
-		}
-		res.Candidates = ag.Finish()
-		sat := make([]bool, len(res.Candidates))
-		for i := range sat {
-			sat[i] = ag.Saturated(i)
-		}
-		return res, sat, nil
-	}
 	cur := NewCursor(p, d, opts)
 	f := newFusedAgg(p.Limit, opts.TopK, onSaturated)
+	var slab []int32
 	for cur.advance() {
 		res.Derivations++
 		if opts.Interrupt != nil && res.Derivations%interruptEvery == 0 {
@@ -381,14 +277,61 @@ func Aggregate(p *plan.Plan, d *db.Database, opts Options, onSaturated func(int,
 				return nil, nil, err
 			}
 		}
-		f.add(cur)
+		if p.Identity {
+			f.add(cur)
+			continue
+		}
+		n := len(slab)
+		slab = append(slab, cur.ords...)
+		for s, o := range p.Order {
+			slab[n+o] = cur.ords[s]
+		}
 	}
 	if cur.err != nil {
 		return nil, nil, cur.err
 	}
+	if !p.Identity {
+		if err := cur.replay(slab, f, opts.Interrupt); err != nil {
+			return nil, nil, err
+		}
+	}
 	var sat []bool
 	res.Candidates, sat = f.finish()
 	return res, sat, nil
+}
+
+// replay folds the bindings buffered in slab (one row ordinal per FROM
+// position each) into f in derivation order: the lexicographic order of
+// their ordinals, which is the FROM-clause nested-loop enumeration order.
+// Each binding is set back into the cursor and its numeric conditions are
+// re-run, which rebuilds exactly the pending atoms enumeration saw.
+func (c *Cursor) replay(slab []int32, f *fusedAgg, interrupt func() error) error {
+	w := len(c.ords)
+	idx := make([]int32, len(slab)/w)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int {
+		return slices.Compare(slab[int(a)*w:][:w], slab[int(b)*w:][:w])
+	})
+	for n, i := range idx {
+		if interrupt != nil && (n+1)%interruptEvery == 0 {
+			if err := interrupt(); err != nil {
+				return err
+			}
+		}
+		row := slab[int(i)*w:][:w]
+		for s, o := range c.p.Order {
+			c.ords[s] = row[o]
+		}
+		for ci := range c.conds {
+			if cs := &c.conds[ci]; cs.kind == plan.CondNumCmp {
+				c.applyNumCond(cs)
+			}
+		}
+		f.add(c)
+	}
+	return nil
 }
 
 // Collect runs the plan and aggregates its derivation stream into the

@@ -22,8 +22,8 @@
 // Each derivation's conjunction is laid out in the plan's canonical
 // order, so the constraint formulas are byte-identical to those of the
 // pre-planner evaluator regardless of the join order executed; when the
-// planner reordered joins, Run restores the original derivation order
-// before emitting.
+// planner reordered joins, Aggregate restores the original derivation
+// order before folding (it buffers row ordinals and replays them).
 //
 // The executor is snapshot-ready: a cursor resolves its column views,
 // equality indexes and row counts once at construction, so running it
@@ -35,7 +35,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/db"
 	"repro/internal/plan"
@@ -48,8 +47,9 @@ import (
 // Options configures execution.
 type Options struct {
 	// Interrupt, when set, is polled every few thousand derivations
-	// during aggregation; a non-nil return aborts the run with that
-	// error. Servers wire a request context's Err here so an abandoned
+	// during aggregation (on a reordered plan both while enumerating and
+	// while replaying in derivation order); a non-nil return aborts the
+	// run with that error. Servers wire a request context's Err here so an abandoned
 	// query stops enumerating (the join space can be enormous) instead
 	// of running to completion for nobody.
 	Interrupt func() error
@@ -65,18 +65,13 @@ type Options struct {
 	TopK int
 }
 
-// Deriv is one derivation: a surviving join combination. Tuple is the
-// projected answer tuple, Conj the constraint atoms it is conditioned on
-// (in the plan's canonical order; empty means unconditional), and Rows
-// the bound row ordinals per original FROM position (the derivation's
-// rank in the naive nested-loop enumeration). Rows is populated only for
-// reordered (non-Identity) plans, where Run needs it to restore
-// derivation order; on streaming plans the emission order already is the
-// derivation order.
+// Deriv is one derivation, as Cursor.Next returns it: a surviving join
+// combination. Tuple is the projected answer tuple and Conj the
+// constraint atoms it is conditioned on (in the plan's canonical order;
+// empty means unconditional).
 type Deriv struct {
 	Tuple value.Tuple
 	Conj  []realfmla.Formula
-	Rows  []int
 }
 
 // numeric-program opcodes, the postorder lowering of plan.NumExpr.
@@ -149,8 +144,9 @@ type projCell struct {
 }
 
 // Cursor is a pull-based iterator over the derivations of a plan, in
-// executor order (the plan's join order). Use Run to consume derivations
-// in the original derivation order regardless of reordering.
+// executor order (the plan's join order). That is the derivation order
+// only on Identity plans; Aggregate folds in derivation order on both
+// plan shapes.
 type Cursor struct {
 	p    *plan.Plan
 	d    *db.Database
@@ -532,14 +528,7 @@ func (c *Cursor) emit() *Deriv {
 			}
 		}
 	}
-	var rows []int
-	if !c.p.Identity { // Run's reorder sort reads Rows
-		rows = make([]int, len(c.steps))
-		for s, o := range c.p.Order {
-			rows[o] = int(c.ords[s])
-		}
-	}
-	return &Deriv{Tuple: c.tuple(), Conj: conj, Rows: rows}
+	return &Deriv{Tuple: c.tuple(), Conj: conj}
 }
 
 // Next returns the next derivation, or nil when the cursor is exhausted.
@@ -549,62 +538,4 @@ func (c *Cursor) Next() (*Deriv, error) {
 		return nil, c.err
 	}
 	return c.emit(), nil
-}
-
-// Run streams every derivation of the plan to emit in the original
-// derivation order — the FROM-clause nested-loop enumeration order. When
-// the plan's join order is the FROM order this is fully streaming; when
-// the planner reordered joins, the (already filtered) derivations are
-// buffered and sorted back into derivation order first, so reordering
-// never changes observable results.
-func Run(p *plan.Plan, d *db.Database, opts Options, emit func(*Deriv) error) error {
-	cur := NewCursor(p, d, opts)
-	if p.Identity {
-		for {
-			dv, err := cur.Next()
-			if err != nil {
-				return err
-			}
-			if dv == nil {
-				return nil
-			}
-			if err := emit(dv); err != nil {
-				return err
-			}
-		}
-	}
-	var buf []*Deriv
-	for {
-		dv, err := cur.Next()
-		if err != nil {
-			return err
-		}
-		if dv == nil {
-			break
-		}
-		buf = append(buf, dv)
-		// The reorder buffer consumes the whole stream before emitting
-		// anything, so it must poll for cancellation itself — emit only
-		// runs after enumeration finishes.
-		if opts.Interrupt != nil && len(buf)%interruptEvery == 0 {
-			if err := opts.Interrupt(); err != nil {
-				return err
-			}
-		}
-	}
-	sort.Slice(buf, func(i, j int) bool {
-		a, b := buf[i].Rows, buf[j].Rows
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
-	for _, dv := range buf {
-		if err := emit(dv); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -371,7 +371,7 @@ type joinEdge struct {
 // edges strictly earlier (avoiding a cartesian product the FROM order
 // forces), or it has the same connectivity pattern and a strictly lower
 // estimated cost including the buffer-and-sort penalty every reordered
-// plan pays to restore derivation order (see exec.Run). Ties keep the
+// plan pays to restore derivation order (see exec.Aggregate). Ties keep the
 // FROM order and its streaming guarantee.
 func (b *builder) chooseOrder(identity []int, edges [][]bool, jedges []joinEdge) []int {
 	n := len(b.q.From)

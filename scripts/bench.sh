@@ -9,8 +9,9 @@
 #   - BenchmarkSQLPipeline: indexed/fused end-to-end pipelines over
 #     the columnar executor, and race, the served LIMIT-k shape (a fresh
 #     engine per request over one shared kernel cache) that guards the
-#     race's cut after the k-th certain candidate (allocs/op guarded by
-#     scripts/alloc_check.sh);
+#     race's cut after the k-th certain candidate, and race-nku, the same
+#     shape on a reordered plan (Never Knowingly Undersold), that guards
+#     the ordinal-slab replay (allocs/op guarded by scripts/alloc_check.sh);
 #   - BenchmarkSQLPipelineSweep: repeated-MeasureSQL ε-sweep showing the
 #     shared compiled-kernel cache of the fused measurement pool;
 #   - BenchmarkMixedInsertQuery: the write path — one insert + one
