@@ -2,9 +2,9 @@
 // generates) one incomplete database and serves the HTTP/JSON wire
 // protocol of internal/server — MeasureSQL with optional streaming top-k
 // delivery, atomic batch inserts (POST /v1/insert, incremental index
-// maintenance; queries pin copy-on-write snapshots), the Figure 1
-// experiment workloads, and schema introspection — to any number of
-// concurrent clients, with admission control on the measurement pool.
+// maintenance; queries pin copy-on-write snapshots) and schema
+// introspection — to any number of concurrent clients, with admission
+// control on the measurement pool.
 //
 //	arithdbd -data DIR [-addr :8080] [-max-inflight N] [-workers N]
 //	         [-queue-timeout 2s] [-seed S] [-min-eps 0.005] [-read-only]

@@ -421,22 +421,3 @@ func (c *Client) streamOnce(ctx context.Context, blob []byte, lastIdx *int, star
 	c.noteFailure(base, io.ErrUnexpectedEOF)
 	return nil, false, fmt.Errorf("client: stream ended without a done event: %w", io.ErrUnexpectedEOF)
 }
-
-// Experiments lists the server's Figure 1 workloads.
-func (c *Client) Experiments(ctx context.Context) (*wire.ExperimentsResponse, error) {
-	var out wire.ExperimentsResponse
-	if err := c.roundTrip(ctx, http.MethodGet, "/v1/experiments", true, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// RunExperiment runs one Figure 1 workload on the server.
-func (c *Client) RunExperiment(ctx context.Context, id string, eps, delta float64) (*wire.ExperimentRunResponse, error) {
-	var out wire.ExperimentRunResponse
-	req := wire.ExperimentRunRequest{ID: id, Eps: eps, Delta: delta}
-	if err := c.roundTrip(ctx, http.MethodPost, "/v1/experiments/run", true, req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}

@@ -5,7 +5,7 @@ package client
 // responses that PROVE the server rejected the request before commit
 // (429 busy, 503 shutting-down — both written before the write lock does
 // any work) are retried for inserts. Read-only requests (health, info,
-// measure, experiments) additionally retry on transport errors such as
+// measure) additionally retry on transport errors such as
 // connection resets, where the request may or may not have been
 // processed — re-running a read is always safe. A 503 with code
 // "degraded" is never retried: the durability layer tripped and stays

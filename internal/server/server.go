@@ -12,8 +12,6 @@
 //	                           SSE under Accept: text/event-stream)
 //	POST /v1/insert            atomic tuple-batch insert into one relation
 //	                           (rejected with 403 when Config.ReadOnly)
-//	GET  /v1/experiments       the paper's Figure 1 workloads
-//	POST /v1/experiments/run   run one workload, with wall time
 //
 // Writes are first-class: every measuring request pins db.Snapshot() —
 // an immutable copy-on-write view behind one atomic load — for its whole
@@ -57,7 +55,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/datagen"
 	"repro/internal/db"
 	"repro/internal/realfmla"
 	"repro/internal/shard"
@@ -265,8 +262,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/info", s.handleInfo)
 	s.mux.HandleFunc("POST /v1/sql/measure", s.handleMeasure)
 	s.mux.HandleFunc("POST /v1/insert", s.handleInsert)
-	s.mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
-	s.mux.HandleFunc("POST /v1/experiments/run", s.handleExperimentRun)
 	if cfg.Replication != nil {
 		s.mux.HandleFunc("GET /v1/replication/checkpoint", s.handleReplCheckpoint)
 		s.mux.HandleFunc("GET /v1/replication/log", s.handleReplLog)
@@ -841,58 +836,5 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		Inserted: len(req.Tuples),
 		Tuples:   n,
 		Version:  version,
-	})
-}
-
-// Experiments are the paper's Figure 1 decision-support workloads, run
-// against the served database (they expect the sales schema).
-var experiments = []wire.Experiment{
-	{ID: "1a", Name: "Competitive Advantage", SQL: datagen.CompetitiveAdvantage},
-	{ID: "1b", Name: "Never Knowingly Undersold", SQL: datagen.NeverKnowinglyUndersold},
-	{ID: "1c", Name: "Unfair Discount", SQL: datagen.UnfairDiscount},
-}
-
-func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, wire.ExperimentsResponse{Experiments: experiments})
-}
-
-func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
-	var req wire.ExperimentRunRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	var src string
-	for _, e := range experiments {
-		if e.ID == req.ID {
-			src = e.SQL
-			break
-		}
-	}
-	if src == "" {
-		s.writeError(w, http.StatusBadRequest, wire.CodeBadRequest,
-			fmt.Sprintf("unknown experiment %q (want 1a, 1b or 1c)", req.ID))
-		return
-	}
-	q, ok := s.parseSQL(w, src)
-	if !ok {
-		return
-	}
-	eps, delta, ok := s.sampling(w, req.Eps, req.Delta)
-	if !ok {
-		return
-	}
-	release, ok := s.acquireSlot(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	start := time.Now()
-	res, ok := s.measureSQL(w, r, q, eps, delta, false)
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, wire.ExperimentRunResponse{
-		MeasureResponse: res,
-		Seconds:         time.Since(start).Seconds(),
 	})
 }

@@ -199,8 +199,7 @@ type MeasuredCandidate struct {
 	Measure Measure `json:"measure"`
 }
 
-// MeasureResponse is the non-streaming response of POST /v1/sql/measure
-// (and the payload part of an experiment run).
+// MeasureResponse is the non-streaming response of POST /v1/sql/measure.
 type MeasureResponse struct {
 	Candidates  []MeasuredCandidate `json:"candidates"`
 	Count       int                 `json:"count"`
@@ -401,30 +400,4 @@ type SamplingStats struct {
 	// SamplesDrawn and Rounds accumulate the race's reported spend.
 	SamplesDrawn int64 `json:"samplesDrawn"`
 	Rounds       int64 `json:"rounds"`
-}
-
-// Experiment is one of the paper's decision-support workloads
-// (GET /v1/experiments).
-type Experiment struct {
-	ID   string `json:"id"`
-	Name string `json:"name"`
-	SQL  string `json:"sql"`
-}
-
-// ExperimentsResponse lists the available experiments.
-type ExperimentsResponse struct {
-	Experiments []Experiment `json:"experiments"`
-}
-
-// ExperimentRunRequest is the body of POST /v1/experiments/run.
-type ExperimentRunRequest struct {
-	ID    string  `json:"id"`
-	Eps   float64 `json:"eps,omitempty"`
-	Delta float64 `json:"delta,omitempty"`
-}
-
-// ExperimentRunResponse is a measured experiment with its wall time.
-type ExperimentRunResponse struct {
-	MeasureResponse
-	Seconds float64 `json:"seconds"`
 }
