@@ -23,8 +23,7 @@ import (
 //     the channel);
 //   - a call through a func-typed variable, parameter, or field (the
 //     emit-callback shape: delegating each element to a caller-supplied
-//     callback transfers the polling obligation to the caller, which the
-//     Aggregate emit path discharges).
+//     callback transfers the polling obligation to the caller).
 var CtxPoll = &Analyzer{
 	Name: "ctxpoll",
 	Doc:  "streaming derivation/candidate loops must poll Interrupt/ctx.Done",

@@ -49,9 +49,9 @@ type Options struct {
 	// Interrupt, when set, is polled every few thousand derivations
 	// during aggregation (on a reordered plan both while enumerating and
 	// while replaying in derivation order); a non-nil return aborts the
-	// run with that error. Servers wire a request context's Err here so an abandoned
-	// query stops enumerating (the join space can be enormous) instead
-	// of running to completion for nobody.
+	// run with that error. Servers wire a request context's Err here so
+	// an abandoned query stops enumerating (the join space can be
+	// enormous) instead of running to completion for nobody.
 	Interrupt func() error
 	// TopK, when positive, is the k of a LIMIT-k query that the adaptive
 	// race will rank over the full candidate field (aggregated without a

@@ -358,7 +358,7 @@ func TestAggregateInterrupt(t *testing.T) {
 				return nil
 			}
 			res, sat, err := exec.Aggregate(tc.p, d, exec.Options{Interrupt: trip}, nil)
-			if err != sentinel || res != nil || sat != nil {
+			if !errors.Is(err, sentinel) || res != nil || sat != nil {
 				t.Fatalf("Aggregate = (%v, %v, %v), want the sentinel and no result", res, sat, err)
 			}
 			if polls != tc.trip {
