@@ -247,11 +247,30 @@ func (c *Compiled) EvalWith(decide func(Atom) bool) bool {
 // can evaluate the same Compiled concurrently, each from its own
 // goroutine. Evaluations themselves are allocation-free.
 func (c *Compiled) NewEvaluator() *Evaluator {
-	return &Evaluator{
-		c:   c,
-		tg:  make([]uint64, len(c.atoms)),
-		uni: make(poly.Uni, c.maxDeg+1),
+	ev := new(Evaluator)
+	ev.Bind(c)
+	return ev
+}
+
+// Bind points the evaluator at c, growing its truth cache and
+// substitution buffer to c's atom count and degree. The epoch counter
+// carries over, so every truth cached for an earlier formula is stale by
+// the next evaluation: a rebound evaluator decides c exactly as a fresh
+// one does, and once its buffers fit the largest formula it is bound to,
+// rebinding allocates nothing.
+func (ev *Evaluator) Bind(c *Compiled) {
+	ev.c = c
+	ev.tg = fit(ev.tg, len(c.atoms))
+	ev.uni = fit(ev.uni, c.maxDeg+1)
+}
+
+// fit returns s resliced to length n, reallocating only when its
+// capacity is short.
+func fit[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
 	}
+	return s[:n]
 }
 
 // evalMode selects how an Evaluator decides atoms during one evaluation.

@@ -162,3 +162,104 @@ func TestFingerprintDistinguishes(t *testing.T) {
 		seen[id] = s
 	}
 }
+
+// bindCases seeds TestEvaluatorBind and FuzzEvaluatorBind: a random
+// sequence seed and the number of formulas one evaluator is rebound to.
+var bindCases = []struct {
+	seed  int64
+	steps uint8
+}{{1, 40}, {2, 40}, {45, 64}, {7, 3}, {99, 128}}
+
+// checkEvaluatorBind rebinds one evaluator through a seeded random
+// sequence of compiled formulas whose ambient arity, atom count and
+// maximum degree rise and fall from step to step, and requires AsymEval,
+// Eval and MixedAsymEval to agree with a fresh evaluator on every
+// formula. It returns how often the atom count and the maximum degree
+// grew and shrank between consecutive formulas.
+func checkEvaluatorBind(t *testing.T, seed int64, steps int) (atomsUp, atomsDown, degUp, degDown int) {
+	t.Helper()
+	const tol = 1e-12
+	r := rand.New(rand.NewSource(seed))
+	ev := new(Evaluator)
+	prevAtoms, prevDeg := 0, 0
+	for step := 0; step < steps; step++ {
+		// Deep formulas over many variables alternate with single atoms
+		// over few, so the buffers are outgrown and then oversized.
+		n, depth := 1+r.Intn(3), r.Intn(2)
+		if step%2 == 0 {
+			n, depth = r.Intn(7), 2+r.Intn(3)
+		}
+		var pool []int
+		if n > 0 {
+			for k := r.Intn(4); k >= 0; k-- {
+				pool = append(pool, r.Intn(n))
+			}
+		}
+		f := randReduceFormula(r, n, pool, depth)
+		c := Compile(f)
+		ev.Bind(c)
+		fresh := c.NewEvaluator()
+		for s := 0; s < 8; s++ {
+			v := make([]float64, n)
+			ray := make([]bool, n)
+			for i := range v {
+				if s%2 == 0 {
+					v[i] = r.NormFloat64()
+				} else {
+					v[i] = float64(r.Intn(5) - 2) // integer: exercises the tolerance fallbacks
+				}
+				ray[i] = r.Intn(2) == 0
+			}
+			if got, want := ev.AsymEval(v, tol), fresh.AsymEval(v, tol); got != want {
+				t.Fatalf("seed %d step %d: rebound AsymEval = %v, fresh %v\nφ = %s\ndir = %v", seed, step, got, want, f, v)
+			}
+			if got, want := ev.Eval(v), fresh.Eval(v); got != want {
+				t.Fatalf("seed %d step %d: rebound Eval = %v, fresh %v\nφ = %s\nx = %v", seed, step, got, want, f, v)
+			}
+			if got, want := ev.MixedAsymEval(v, ray, tol), fresh.MixedAsymEval(v, ray, tol); got != want {
+				t.Fatalf("seed %d step %d: rebound MixedAsymEval = %v, fresh %v\nφ = %s\nvals = %v ray = %v", seed, step, got, want, f, v, ray)
+			}
+		}
+		if step > 0 {
+			switch a := len(c.atoms); {
+			case a > prevAtoms:
+				atomsUp++
+			case a < prevAtoms:
+				atomsDown++
+			}
+			switch {
+			case c.maxDeg > prevDeg:
+				degUp++
+			case c.maxDeg < prevDeg:
+				degDown++
+			}
+		}
+		prevAtoms, prevDeg = len(c.atoms), c.maxDeg
+	}
+	return
+}
+
+// TestEvaluatorBind: one evaluator rebound through random formula
+// sequences decides every formula exactly as a fresh evaluator does —
+// the contract that lets a sampler carry one evaluator from kernel to
+// kernel instead of one per formula.
+func TestEvaluatorBind(t *testing.T) {
+	for _, bc := range bindCases {
+		up, down, degUp, degDown := checkEvaluatorBind(t, bc.seed, int(bc.steps))
+		if bc.steps >= 40 && (up == 0 || down == 0 || degUp == 0 || degDown == 0) {
+			t.Fatalf("seed %d: atom count grew %d and shrank %d times, max degree grew %d and shrank %d times; the sequence must do all four",
+				bc.seed, up, down, degUp, degDown)
+		}
+	}
+}
+
+// FuzzEvaluatorBind is TestEvaluatorBind over fuzzed sequence seeds and
+// lengths.
+func FuzzEvaluatorBind(f *testing.F) {
+	for _, bc := range bindCases {
+		f.Add(bc.seed, bc.steps)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, steps uint8) {
+		checkEvaluatorBind(t, seed, int(steps))
+	})
+}
