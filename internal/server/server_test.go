@@ -243,3 +243,27 @@ func jsonDecode(resp *http.Response, v any) error {
 }
 
 func asServerError(err error, target **client.ServerError) bool { return errors.As(err, target) }
+
+// TestServerCompileCacheDisabled: a server whose engines run with
+// CompileCacheSize -1 holds no kernel cache and answers every workload
+// with the same /v1/sql/measure body as the default configuration.
+func TestServerCompileCacheDisabled(t *testing.T) {
+	off, _, offHTS := newTestServer(t, Config{Engine: core.Options{Seed: 7, CompileCacheSize: -1}})
+	def, _, defHTS := newTestServer(t, Config{Engine: core.Options{Seed: 7}})
+	if off.kernels != nil {
+		t.Fatal("a server with caching disabled holds a kernel cache")
+	}
+	if def.kernels == nil {
+		t.Fatal("the default server holds no kernel cache")
+	}
+	for _, src := range testWorkloads {
+		req := wire.MeasureRequest{SQL: src, Eps: 0.05, Delta: 0.25}
+		// Twice: the default server's second answer comes from its warm cache.
+		for pass := 0; pass < 2; pass++ {
+			got, want := measureRaw(t, offHTS.URL, req)[0], measureRaw(t, defHTS.URL, req)[0]
+			if string(got) != string(want) {
+				t.Fatalf("%.30s pass %d: uncached body\n%s\ndefault body\n%s", src, pass, got, want)
+			}
+		}
+	}
+}
