@@ -178,7 +178,8 @@ type Engine = core.Engine
 // single constraint out over goroutines (default GOMAXPROCS; results
 // are bit-identical for a fixed Seed regardless of the setting; the
 // background/distribution samplers stay sequential), and
-// CompileCacheSize sizes the engine's compiled-formula cache, which
+// CompileCacheSize sizes the engine's one compiled-kernel cache (its
+// own, or the shared one UseKernels sets; negative means none), which
 // lets ε-sweeps over the same candidate constraints compile each
 // formula once instead of once per call. The SQL pipeline has one
 // configuration (join reordering, probes of the database's persistent

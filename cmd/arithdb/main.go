@@ -76,7 +76,7 @@ func commonFlags(fs *flag.FlagSet) (data, query *string, eps, delta *float64, op
 	fs.IntVar(&opts.Workers, "workers", 0,
 		"goroutines for intra-formula sampling (0 = GOMAXPROCS; results are seed-deterministic regardless)")
 	fs.IntVar(&opts.CompileCacheSize, "compile-cache", 0,
-		"compiled-formula cache entries (0 = default 1024, negative disables)")
+		"compiled-kernel cache entries (0 = default 1024, negative = no cache: every formula is compiled on each use)")
 	return
 }
 

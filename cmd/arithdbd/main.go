@@ -79,7 +79,7 @@ func main() {
 		queueTimeout = flag.Duration("queue-timeout", 2*time.Second, "max queue wait before a 429")
 		workers      = flag.Int("workers", 0, "per-request measurement worker budget (0 = GOMAXPROCS / max-inflight)")
 		minEps       = flag.Float64("min-eps", 0.005, "smallest accepted eps (sampling cost grows as eps^-2)")
-		compileCache = flag.Int("compile-cache", 0, "cross-request compiled-kernel cache entries (0 = default 1024)")
+		compileCache = flag.Int("compile-cache", 0, "compiled-kernel cache entries shared by every request (0 = default 1024, negative = no cache: each request compiles its formulas)")
 		readOnly     = flag.Bool("read-only", false, "disable POST /v1/insert (serve a frozen database)")
 		shutdownWait = flag.Duration("shutdown-wait", 10*time.Second, "drain deadline on SIGINT/SIGTERM")
 		dataDir      = flag.String("data-dir", "", "durable data directory (WAL + checkpoints); -data/-gen seed it on first boot")
@@ -206,10 +206,9 @@ func main() {
 			CompileCacheSize: *compileCache,
 			NoAdaptive:       *noAdaptive,
 		},
-		MaxInflight:     *maxInflight,
-		QueueTimeout:    *queueTimeout,
-		MinEps:          *minEps,
-		KernelCacheSize: *compileCache,
+		MaxInflight:  *maxInflight,
+		QueueTimeout: *queueTimeout,
+		MinEps:       *minEps,
 	}
 	switch {
 	case rep != nil:

@@ -299,8 +299,8 @@ func (e *Engine) race(ctx context.Context, phis []realfmla.Formula, k int, eps, 
 			if it.out || it.done || it.exact || it.drawn >= target {
 				return
 			}
-			ent := eng.compiledFor(it.phi)
-			it.hits += eng.sampleAsymRange(ent, it.m, it.base, it.drawn, target)
+			kn := eng.compiledFor(it.phi)
+			it.hits += eng.sampleAsymRange(kn, it.m, it.base, it.drawn, target)
 			it.drawn = target
 			it.t = it.m
 			if target*asymChunkSize < it.m {
@@ -400,29 +400,29 @@ func prepRaceItem(eng *Engine, it *raceItem, m int) {
 		it.lo = math.Max(0, math.Min(1, r.Value))
 		it.hi = it.lo
 	}
-	ent := eng.compiledFor(it.phi)
-	n := len(ent.vars)
+	kn := eng.compiledFor(it.phi)
+	n := len(kn.vars)
 	if n == 0 {
 		// With ForceSampling the fixed path still evaluates the constant
 		// formula m times; the value is the same either way, so the race
 		// treats it as decided (determinism across worker counts is
 		// unaffected — the fixed path is only reproduced bit-for-bit in
 		// its default configuration).
-		point(trivialResult(realfmla.Eval(ent.reduced, nil), ent.ambient))
+		point(trivialResult(realfmla.Eval(kn.reduced, nil), kn.ambient))
 		return
 	}
 	if !eng.opts.DisableExact {
-		if r, ok, err := eng.exactOrder(ent); err != nil {
+		if r, ok, err := eng.exactOrder(kn); err != nil {
 			it.err = err
 			return
 		} else if ok {
-			r.K = ent.ambient
+			r.K = kn.ambient
 			r.RelevantK = n
 			point(r)
 			return
 		}
-		if r, ok := eng.exactSector(ent.reduced); ok {
-			r.K = ent.ambient
+		if r, ok := eng.exactSector(kn.reduced); ok {
+			r.K = kn.ambient
 			r.RelevantK = n
 			point(r)
 			return
@@ -430,5 +430,5 @@ func prepRaceItem(eng *Engine, it *raceItem, m int) {
 	}
 	it.m = m
 	it.base = eng.drawBase()
-	it.res = Result{Method: MethodAFPRASRace, K: ent.ambient, RelevantK: n}
+	it.res = Result{Method: MethodAFPRASRace, K: kn.ambient, RelevantK: n}
 }

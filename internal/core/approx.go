@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/db"
 	"repro/internal/fo"
@@ -35,22 +36,22 @@ func (e *Engine) AdditiveApprox(phi realfmla.Formula, eps, delta float64) (Resul
 	return e.additiveApprox(e.compiledFor(phi), eps, delta)
 }
 
-// additiveApprox is AdditiveApprox on an already-resolved compiled entry,
+// additiveApprox is AdditiveApprox on an already-resolved kernel,
 // so MeasureFormula does not resolve (or, with caching disabled, compile)
 // the same formula twice per call.
-func (e *Engine) additiveApprox(ent *compiledEntry, eps, delta float64) (Result, error) {
+func (e *Engine) additiveApprox(kn *kernel, eps, delta float64) (Result, error) {
 	m, err := e.sampleCount(eps, delta)
 	if err != nil {
 		return Result{}, err
 	}
-	n := len(ent.vars)
+	n := len(kn.vars)
 	if n == 0 {
 		if !e.opts.ForceSampling {
-			return trivialResult(realfmla.Eval(ent.reduced, nil), ent.ambient), nil
+			return trivialResult(realfmla.Eval(kn.reduced, nil), kn.ambient), nil
 		}
 		// Faithful to the reference implementation: evaluate the (constant)
 		// formula once per sample anyway.
-		ev := ent.sampler().ev
+		ev := e.sampler(kn).ev
 		hits := 0
 		for i := 0; i < m; i++ {
 			if ev.Eval(nil) {
@@ -61,7 +62,7 @@ func (e *Engine) additiveApprox(ent *compiledEntry, eps, delta float64) (Result,
 			Value:   float64(hits) / float64(m),
 			Method:  MethodAFPRAS,
 			Samples: m,
-			K:       ent.ambient,
+			K:       kn.ambient,
 		}, nil
 	}
 	// One base-seed draw per invocation keeps repeated calls on the same
@@ -69,12 +70,12 @@ func (e *Engine) additiveApprox(ent *compiledEntry, eps, delta float64) (Result,
 	// a pure function of (base, chunk index) — the property the parallel
 	// scheduler needs for worker-count-independent results.
 	base := e.drawBase()
-	hits := e.sampleAsym(ent, m, base)
+	hits := e.sampleAsym(kn, m, base)
 	return Result{
 		Value:     float64(hits) / float64(m),
 		Method:    MethodAFPRAS,
 		Samples:   m,
-		K:         ent.ambient,
+		K:         kn.ambient,
 		RelevantK: n,
 	}, nil
 }
@@ -89,8 +90,10 @@ func (e *Engine) additiveApprox(ent *compiledEntry, eps, delta float64) (Result,
 const asymChunkSize = 256
 
 // asymSampler bundles the per-goroutine scratch of the AFPRAS inner loop:
-// a formula evaluator, a direction buffer, and an O(1)-reseed RNG. Once
-// constructed, sampling runs allocation-free.
+// a formula evaluator, a direction buffer, and an O(1)-reseed RNG. An
+// engine or a sample-pool participant owns one and binds it to each
+// kernel it samples; chunks reseed the RNG, so no earlier kernel leaves a
+// trace. Once its buffers fit, sampling and rebinding allocate nothing.
 type asymSampler struct {
 	ev  *realfmla.Evaluator
 	dir []float64
@@ -98,14 +101,26 @@ type asymSampler struct {
 	rng *rand.Rand
 }
 
-func newAsymSampler(c *realfmla.Compiled, n int) *asymSampler {
+func newAsymSampler() *asymSampler {
 	src := mc.NewSplitMix64(0)
-	return &asymSampler{
-		ev:  c.NewEvaluator(),
-		dir: make([]float64, n),
-		src: src,
-		rng: rand.New(src),
+	return &asymSampler{ev: new(realfmla.Evaluator), src: src, rng: rand.New(src)}
+}
+
+// bind points the sampler at kn's compiled formula, sizing the direction
+// buffer to kn's relevant variables.
+func (s *asymSampler) bind(kn *kernel) *asymSampler {
+	s.ev.Bind(kn.compiled)
+	s.dir = slices.Grow(s.dir[:0], len(kn.vars))[:len(kn.vars)]
+	return s
+}
+
+// sampler returns the engine's sampling scratch bound to kn; parallel
+// participants bring their own (runParallel).
+func (e *Engine) sampler(kn *kernel) *asymSampler {
+	if e.smp == nil {
+		e.smp = newAsymSampler()
 	}
+	return e.smp.bind(kn)
 }
 
 // chunk reseeds the sampler's RNG and counts asymptotic hits over count
@@ -132,15 +147,15 @@ func chunkLen(m, ch int) int {
 }
 
 // sampleAsym counts, over m sampled Gaussian directions, how often the
-// entry's compiled formula holds asymptotically, fanning fixed-size
+// kernel's compiled formula holds asymptotically, fanning fixed-size
 // chunks of samples out over Options.Workers participants (the calling
 // goroutine plus the engine's persistent helper pool — see samplePool).
 // Every participant owns a private asymSampler and chunks are claimed
 // atomically, so the steady-state loop does not allocate at any worker
-// count; the single-worker path reuses the entry's cached sampler across
-// calls.
-func (e *Engine) sampleAsym(ent *compiledEntry, m int, base int64) int {
-	return e.sampleAsymRange(ent, m, base, 0, (m+asymChunkSize-1)/asymChunkSize)
+// count; the single-worker path reuses the engine's sampler across calls
+// and kernels.
+func (e *Engine) sampleAsym(kn *kernel, m int, base int64) int {
+	return e.sampleAsymRange(kn, m, base, 0, (m+asymChunkSize-1)/asymChunkSize)
 }
 
 // sampleAsymRange is the resumable form of sampleAsym: it draws only
@@ -149,20 +164,20 @@ func (e *Engine) sampleAsym(ent *compiledEntry, m int, base int64) int {
 // race grows each candidate's prefix round by round — produces exactly
 // the samples a single full-budget run would have drawn: the hit counts
 // of disjoint ranges sum to the full-budget hit count bit-for-bit.
-func (e *Engine) sampleAsymRange(ent *compiledEntry, m int, base int64, from, to int) int {
+func (e *Engine) sampleAsymRange(kn *kernel, m int, base int64, from, to int) int {
 	workers := e.workers()
 	if workers > to-from {
 		workers = to - from
 	}
 	if workers <= 1 {
-		s := ent.sampler()
+		s := e.sampler(kn)
 		hits := 0
 		for ch := from; ch < to; ch++ {
 			hits += s.chunk(mc.DeriveSeed(base, int64(ch)), chunkLen(m, ch))
 		}
 		return hits
 	}
-	return e.runParallel(ent, workers, m, from, to, base)
+	return e.runParallel(kn, workers, m, from, to, base)
 }
 
 // AdditiveApproxDirect is the same additive-error scheme evaluated without

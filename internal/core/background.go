@@ -70,11 +70,11 @@ func (e *Engine) MeasureWithBackground(phi realfmla.Formula, bg Background, eps,
 	if err != nil {
 		return Result{}, err
 	}
-	ent := e.compiledFor(phi)
-	vars := ent.vars
+	kn := e.compiledFor(phi)
+	vars := kn.vars
 	n := len(vars)
 	if n == 0 {
-		return trivialResult(realfmla.Eval(ent.reduced, nil), ent.ambient), nil
+		return trivialResult(realfmla.Eval(kn.reduced, nil), kn.ambient), nil
 	}
 	// Re-index the background to the reduced variable space and classify.
 	bounded := make([]bool, n)
@@ -97,7 +97,7 @@ func (e *Engine) MeasureWithBackground(phi realfmla.Formula, bg Background, eps,
 		sign[j] = s
 	}
 
-	ev := ent.sampler().ev
+	ev := e.sampler(kn).ev
 	vals := make([]float64, n)
 	hits := 0
 	for i := 0; i < m; i++ {
@@ -119,7 +119,7 @@ func (e *Engine) MeasureWithBackground(phi realfmla.Formula, bg Background, eps,
 		Value:     float64(hits) / float64(m),
 		Method:    MethodAFPRAS,
 		Samples:   m,
-		K:         ent.ambient,
+		K:         kn.ambient,
 		RelevantK: n,
 	}, nil
 }
@@ -176,11 +176,11 @@ func (e *Engine) MeasureWithDistributions(phi realfmla.Formula, dists map[int]Di
 	if err != nil {
 		return Result{}, err
 	}
-	ent := e.compiledFor(phi)
-	vars := ent.vars
+	kn := e.compiledFor(phi)
+	vars := kn.vars
 	n := len(vars)
 	if n == 0 {
-		return trivialResult(realfmla.Eval(ent.reduced, nil), ent.ambient), nil
+		return trivialResult(realfmla.Eval(kn.reduced, nil), kn.ambient), nil
 	}
 	ds := make([]Distribution, n)
 	for j, orig := range vars {
@@ -190,7 +190,7 @@ func (e *Engine) MeasureWithDistributions(phi realfmla.Formula, dists map[int]Di
 		}
 		ds[j] = d
 	}
-	ev := ent.sampler().ev
+	ev := e.sampler(kn).ev
 	uniform := e.rand().Float64
 	normal := e.rand().NormFloat64
 	vals := make([]float64, n)
@@ -207,7 +207,7 @@ func (e *Engine) MeasureWithDistributions(phi realfmla.Formula, dists map[int]Di
 		Value:     float64(hits) / float64(m),
 		Method:    MethodAFPRAS,
 		Samples:   m,
-		K:         ent.ambient,
+		K:         kn.ambient,
 		RelevantK: n,
 	}, nil
 }

@@ -22,17 +22,17 @@ func itemOptions(o Options, idx int) Options {
 }
 
 // resetItem reconfigures a pooled per-item engine for one measurement.
-// The engine behaves bit-identically to New(o) with the same shared
-// kernel cache: the RNG source reseeds in place exactly as a fresh
-// source seeds, the compiled-entry cache holds only immutable kernels
-// plus sampling scratch that reseeds per chunk, and no other state
-// survives a measurement. Pooling the engines merely avoids rebuilding
-// the ~5 KB RNG state (and the engine allocation) per candidate.
+// The engine behaves bit-identically to New(o) handed the same kernel
+// cache: the RNG source reseeds in place exactly as a fresh source
+// seeds, its sampling scratch rebinds to each kernel it samples and
+// reseeds per chunk, and no other state survives a measurement. Pooling
+// the engines merely avoids rebuilding the ~5 KB RNG state (and the
+// engine and its scratch) per candidate.
 func (e *Engine) resetItem(o Options, kernels *kernelCache) {
 	e.opts = o.withDefaults()
 	e.reseedPending = true
 	e.memoServed = 0
-	e.shared = kernels
+	e.kc = kernels
 }
 
 // itemEngine returns the w-th reusable pool engine of this engine's

@@ -96,11 +96,11 @@ type Options struct {
 	// as the per-request worker budget so one request cannot monopolize
 	// the machine.
 	PoolWorkers int
-	// CompileCacheSize bounds the engine's compiled-formula cache: the
-	// variable-reduced, kernel-compiled form of each measured formula is
-	// kept keyed by formula identity, so ε-sweeps over the same candidate
-	// constraints compile each formula once instead of once per call.
-	// 0 uses the default of 1024 entries; negative disables caching.
+	// CompileCacheSize sizes the engine's own kernel cache (kernelCache),
+	// used unless UseKernels set a shared one, so ε-sweeps over the same
+	// candidate constraints compile each formula once instead of once per
+	// call. 0 uses the default of 1024 entries; negative means no cache at
+	// all, not even a shared one: every formula compiles on each use.
 	CompileCacheSize int
 	// NoAdaptive disables the adaptive top-k sampling race for LIMIT-k
 	// MeasureSQL/MeasureSQLStream queries, restoring the fixed-budget
@@ -136,15 +136,13 @@ func (o Options) withDefaults() Options {
 // fan its own sampling work out across Options.Workers goroutines
 // internally.
 type Engine struct {
-	opts  Options
-	rng   *rand.Rand
-	cache map[realfmla.FormulaID]*compiledEntry
-	// shared, when set, is the concurrency-safe compiled-kernel cache the
-	// engine resolves formulas through before compiling itself: the
-	// measurement pools (MeasureSQL, MeasureBatch) hand every per-item
-	// engine the pool owner's cache, so repeated calls and ε-sweeps reuse
-	// the immutable compiled kernels instead of recompiling per item.
-	shared *kernelCache
+	opts Options
+	rng  *rand.Rand
+	// kc is the engine's one kernel cache (see kernels); the measurement
+	// pools hand every per-item engine the pool owner's.
+	kc *kernelCache
+	// smp is the sampling scratch, rebound to each kernel (see sampler).
+	smp *asymSampler
 	// pool is the persistent crew of parallel-sampling helpers (lazily
 	// started when Options.Workers > 1 — see samplePool).
 	pool *samplePool
@@ -205,17 +203,17 @@ func (e *Engine) drawBase() int64 {
 	return e.rand().Int63()
 }
 
-// poolKernels returns the engine's shared kernel cache for measurement
-// pools, creating it on first use (nil when caching is disabled). The
-// cache lives on the engine, so consecutive MeasureSQL calls reuse it.
-func (e *Engine) poolKernels() *kernelCache {
+// kernels returns the engine's kernel cache, creating the engine's own on
+// first use unless UseKernels set one (nil when caching is disabled). The
+// cache lives on the engine, so consecutive calls reuse it.
+func (e *Engine) kernels() *kernelCache {
 	if e.opts.CompileCacheSize < 0 {
 		return nil
 	}
-	if e.shared == nil {
-		e.shared = newKernelCache(e.opts.CompileCacheSize)
+	if e.kc == nil {
+		e.kc = newKernelCache(e.opts.CompileCacheSize)
 	}
-	return e.shared
+	return e.kc
 }
 
 // workers resolves Options.Workers to a concrete worker count.
@@ -242,7 +240,7 @@ func (o Options) poolWorkers() int {
 // request engine one shared Kernels (UseKernels) makes repeated queries
 // and ε-sweeps compile each candidate constraint once per server instead
 // of once per request. Sharing cannot change measured values: kernels
-// are immutable and all sampling state is per-engine.
+// are immutable and all sampling scratch is per engine or per worker.
 type Kernels = kernelCache
 
 // NewKernels returns a shared kernel cache holding up to capacity
@@ -254,10 +252,10 @@ func NewKernels(capacity int) *Kernels {
 	return newKernelCache(capacity)
 }
 
-// UseKernels makes the engine resolve compiled kernels through kc — both
-// for its own measurements and for the per-candidate engines of its
-// measurement pools. Call it right after New, before any measurement.
-func (e *Engine) UseKernels(kc *Kernels) { e.shared = kc }
+// UseKernels makes kc the engine's kernel cache in place of its own, also
+// for its measurement pools' per-candidate engines; with a negative
+// CompileCacheSize it is never used. Call it right after New.
+func (e *Engine) UseKernels(kc *Kernels) { e.kc = kc }
 
 // kernel is the immutable, preprocessed form of a measured formula:
 // reduced to its relevant variables (Section 9) and kernel-compiled for
@@ -282,72 +280,14 @@ func newKernel(phi realfmla.Formula) *kernel {
 	}
 }
 
-// compiledEntry pairs a (possibly shared) kernel with the engine-local
-// sampling scratch. The seq sampler is per-entry scratch for the engine's
-// own goroutine; parallel workers bring their own.
-type compiledEntry struct {
-	*kernel
-	// seq is the single-threaded sampling/evaluation scratch; pool holds
-	// per-worker scratch for the parallel sampler. Both are lazily built
-	// and reused across calls (the engine is single-goroutine, and within
-	// one parallel run each pool slot is owned by exactly one worker).
-	seq  *asymSampler
-	pool []*asymSampler
-}
-
-func newCompiledEntry(phi realfmla.Formula) *compiledEntry {
-	return &compiledEntry{kernel: newKernel(phi)}
-}
-
-// sampler returns the entry's single-threaded sampling scratch, creating
-// it on first use.
-func (ent *compiledEntry) sampler() *asymSampler {
-	if ent.seq == nil {
-		ent.seq = newAsymSampler(ent.compiled, len(ent.vars))
+// compiledFor returns the kernel of phi from the engine's kernel cache,
+// or compiles it afresh when caching is disabled.
+func (e *Engine) compiledFor(phi realfmla.Formula) *kernel {
+	kc := e.kernels()
+	if kc == nil {
+		return newKernel(phi)
 	}
-	return ent.seq
-}
-
-// samplerPool returns at least `workers` reusable sampler slots. Called
-// from the coordinating goroutine before workers start, so the grown
-// slice is visible to every worker.
-func (ent *compiledEntry) samplerPool(workers int) []*asymSampler {
-	for len(ent.pool) < workers {
-		ent.pool = append(ent.pool, newAsymSampler(ent.compiled, len(ent.vars)))
-	}
-	return ent.pool
-}
-
-// compiledFor returns the preprocessed form of phi, from the engine's
-// cache when enabled, resolving the immutable kernel through the shared
-// pool cache when the engine has one. The cached Compiled is immutable
-// and shared; all evaluation goes through per-goroutine Evaluators.
-func (e *Engine) compiledFor(phi realfmla.Formula) *compiledEntry {
-	if e.opts.CompileCacheSize < 0 {
-		return newCompiledEntry(phi)
-	}
-	key := realfmla.Fingerprint(phi)
-	// The fingerprint is not cryptographic: confirm the hit syntactically,
-	// so a collision costs a recompile instead of a wrong measure.
-	if ent, ok := e.cache[key]; ok && realfmla.Equal(phi, ent.source) {
-		return ent
-	}
-	var ent *compiledEntry
-	if e.shared != nil {
-		ent = &compiledEntry{kernel: e.shared.get(key, phi)}
-	} else {
-		ent = newCompiledEntry(phi)
-	}
-	if e.cache == nil {
-		e.cache = make(map[realfmla.FormulaID]*compiledEntry)
-	} else if len(e.cache) >= e.opts.CompileCacheSize {
-		for k := range e.cache { // full: evict one arbitrary entry
-			delete(e.cache, k)
-			break
-		}
-	}
-	e.cache[key] = ent
-	return ent
+	return kc.get(realfmla.Fingerprint(phi), phi)
 }
 
 // Result reports a computed or approximated measure.
@@ -400,27 +340,27 @@ func (e *Engine) Measure(q *fo.Query, d *db.Database, args []value.Value, eps, d
 // MeasureFormula computes ν(φ) for a quantifier-free real formula φ,
 // dispatching as Measure does.
 func (e *Engine) MeasureFormula(phi realfmla.Formula, eps, delta float64) (Result, error) {
-	ent := e.compiledFor(phi)
-	n := len(ent.vars)
+	kn := e.compiledFor(phi)
+	n := len(kn.vars)
 
 	if n == 0 && !e.opts.ForceSampling {
-		return trivialResult(realfmla.Eval(ent.reduced, nil), ent.ambient), nil
+		return trivialResult(realfmla.Eval(kn.reduced, nil), kn.ambient), nil
 	}
 	if !e.opts.DisableExact {
-		if r, ok, err := e.exactOrder(ent); err != nil {
+		if r, ok, err := e.exactOrder(kn); err != nil {
 			return Result{}, err
 		} else if ok {
-			r.K = ent.ambient
+			r.K = kn.ambient
 			r.RelevantK = n
 			return r, nil
 		}
-		if r, ok := e.exactSector(ent.reduced); ok {
-			r.K = ent.ambient
+		if r, ok := e.exactSector(kn.reduced); ok {
+			r.K = kn.ambient
 			r.RelevantK = n
 			return r, nil
 		}
 	}
-	r, err := e.additiveApprox(ent, eps, delta)
+	r, err := e.additiveApprox(kn, eps, delta)
 	if err != nil {
 		return Result{}, err
 	}

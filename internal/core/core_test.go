@@ -211,7 +211,7 @@ func TestExactOrderAgainstSampling(t *testing.T) {
 	}
 	exactEngine := New(Options{Seed: 5})
 	for i, phi := range formulas {
-		ex, ok, err := exactEngine.exactOrder(newCompiledEntry(phi))
+		ex, ok, err := exactEngine.exactOrder(newKernel(phi))
 		if err != nil || !ok {
 			t.Fatalf("formula %d: exact order failed: ok=%v err=%v", i, ok, err)
 		}
@@ -268,7 +268,7 @@ func TestExactOrderKnownValues(t *testing.T) {
 		{orderChain(7), big.NewRat(1, 5040)},
 	}
 	for i, c := range cases {
-		res, ok, err := e.exactOrder(newCompiledEntry(c.phi))
+		res, ok, err := e.exactOrder(newKernel(c.phi))
 		if err != nil || !ok {
 			t.Fatalf("case %d: ok=%v err=%v", i, ok, err)
 		}
@@ -281,16 +281,16 @@ func TestExactOrderKnownValues(t *testing.T) {
 func TestExactOrderRejectsNonOrder(t *testing.T) {
 	e := New(Options{})
 	// z0 + z1 < 0 is linear but not an order atom.
-	if _, ok, _ := e.exactOrder(newCompiledEntry(linAtom(2, []float64{1, 1}, 0, realfmla.LT))); ok {
+	if _, ok, _ := e.exactOrder(newKernel(linAtom(2, []float64{1, 1}, 0, realfmla.LT))); ok {
 		t.Error("sum atom accepted by order algorithm")
 	}
 	// Quadratic atom.
 	q := realfmla.FAtom{A: realfmla.Atom{P: poly.Var(1, 0).Mul(poly.Var(1, 0)), Rel: realfmla.LT}}
-	if _, ok, _ := e.exactOrder(newCompiledEntry(q)); ok {
+	if _, ok, _ := e.exactOrder(newKernel(q)); ok {
 		t.Error("quadratic atom accepted")
 	}
 	// Cell budget: an 8-variable chain has 2⁸·8! = 10 321 920 cells.
-	if _, ok, _ := e.exactOrder(newCompiledEntry(orderChain(8))); ok {
+	if _, ok, _ := e.exactOrder(newKernel(orderChain(8))); ok {
 		t.Error("cell budget ignored")
 	}
 }

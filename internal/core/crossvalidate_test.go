@@ -54,7 +54,7 @@ func TestCrossValidateExactVsSampling(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		n := 2 + rng.Intn(3)
 		phi := randOrderFormula(rng, n, 3)
-		exact, ok, err := e.exactOrder(newCompiledEntry(phi))
+		exact, ok, err := e.exactOrder(newKernel(phi))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestCrossValidateSectorVsCells(t *testing.T) {
 		if realfmla.NumVars(phi) != 2 {
 			continue // reduced away a variable; sector n=2 path not exercised
 		}
-		cells, ok, err := e.exactOrder(newCompiledEntry(phi))
+		cells, ok, err := e.exactOrder(newKernel(phi))
 		if err != nil || !ok {
 			t.Fatal(err)
 		}

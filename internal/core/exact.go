@@ -48,12 +48,11 @@ func orderAtomsOnly(f realfmla.Formula) bool {
 // sign pattern s ∈ {±1}ⁿ and an ordering of the coordinate magnitudes. The
 // asymptotic truth of φ is constant on each cell and is evaluated at the
 // integer representative a_i = s_i · rank_i. It evaluates through the
-// entry's cached compiled form, so repeated calls (ε-sweeps) compile
-// nothing. Returns ok=false when φ is not an order formula or the cell
+// kernel's compiled form, so repeated calls (ε-sweeps) compile nothing. Returns ok=false when φ is not an order formula or the cell
 // count exceeds maxExactCells.
-func (e *Engine) exactOrder(ent *compiledEntry) (Result, bool, error) {
-	n := len(ent.vars)
-	if n == 0 || !orderAtomsOnly(ent.reduced) {
+func (e *Engine) exactOrder(kn *kernel) (Result, bool, error) {
+	n := len(kn.vars)
+	if n == 0 || !orderAtomsOnly(kn.reduced) {
 		return Result{}, false, nil
 	}
 	// cells = 2^n · n!
@@ -65,7 +64,7 @@ func (e *Engine) exactOrder(ent *compiledEntry) (Result, bool, error) {
 		}
 	}
 
-	ev := ent.sampler().ev
+	ev := e.sampler(kn).ev
 	sat := 0
 	perm := make([]int, n)
 	for i := range perm {

@@ -6,22 +6,26 @@ import (
 	"repro/internal/realfmla"
 )
 
-// kernelCache is a concurrency-safe cache of immutable compiled formula
-// kernels, keyed by structural fingerprint. It is the cross-engine
-// companion of the per-engine compile cache: the measurement pools
-// (Engine.MeasureSQL, MeasureBatch) create one engine per candidate for
-// deterministic seeding, and without sharing every one of those engines
-// would re-reduce and re-compile its formula from scratch on every call.
-// The cache lives on the pool owner, so repeated MeasureSQL calls and
-// ε-sweeps skip recompilation entirely. A miss (newKernel: Reduce, then
-// Compile) costs in proportion to the formula's size, tens of
-// microseconds on a Figure-1 candidate whatever the database's null
-// count, so the cache saves per-formula work and allocation, not a scan
-// of the database.
+// kernelCache is the engine's one cache of compiled formula kernels,
+// concurrency-safe and keyed by structural fingerprint: the one
+// UseKernels set, or the engine's own, created on first use (an engine
+// with a negative CompileCacheSize has none and compiles on every use).
+// The measurement pools (Engine.MeasureSQL, MeasureBatch) create one
+// engine per candidate for deterministic seeding and hand each the pool
+// owner's cache, so repeated MeasureSQL calls and ε-sweeps skip
+// recompilation entirely. A miss (newKernel: Reduce, then Compile) costs
+// in proportion to the formula's size, not the database's null count.
 //
-// Sharing kernels cannot change results: compilation is a deterministic
-// pure function of the formula, kernels are immutable, and all sampling
-// state stays in per-engine compiledEntry scratch.
+// Bound: cap entries (CompileCacheSize, default 1024); a full cache
+// evicts one arbitrary entry per insert. Building a Figure-1 Competitive
+// Advantage kernel allocates ≈ 6.6 KB in 71 objects (BenchmarkCompileCache
+// uncached minus cached, 556 570 − 63 664 B/op over 75 formulas), an
+// upper bound on what it retains: a full default cache holds under 7 MB.
+//
+// Neither sharing nor eviction can change results: compilation is a
+// deterministic pure function of the formula, kernels are immutable and
+// rebuilt value-identical after eviction, and sampling scratch is per
+// engine or per sample-pool worker, never per formula.
 //
 // Keys are formula fingerprints — pure formula identity, independent of
 // any database version — so a server-wide cache survives snapshot

@@ -153,7 +153,7 @@ func (e *Engine) measureCandidates(ctx context.Context, src candidateSource, lim
 // seedItem readies pool engine eng for the candidate at idx — the one
 // place per-candidate seeding happens (see itemOptions).
 func (e *Engine) seedItem(eng *Engine, idx int) *Engine {
-	eng.resetItem(itemOptions(e.opts, idx), e.poolKernels())
+	eng.resetItem(itemOptions(e.opts, idx), e.kernels())
 	return eng
 }
 
@@ -174,7 +174,7 @@ func (e *Engine) forEachItem(ctx context.Context, n int, f func(eng *Engine, idx
 		}
 		return
 	}
-	e.poolKernels() // created here, not racily by the workers' first seedItem
+	e.kernels() // created here, not racily by the workers' first seedItem
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

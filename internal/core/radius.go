@@ -20,10 +20,10 @@ func (e *Engine) MuAtRadius(phi realfmla.Formula, r float64, samples int) (float
 	if samples <= 0 {
 		return 0, fmt.Errorf("core: samples must be positive, got %d", samples)
 	}
-	ent := e.compiledFor(phi)
-	n := len(ent.vars)
+	kn := e.compiledFor(phi)
+	n := len(kn.vars)
 	if n == 0 {
-		if realfmla.Eval(ent.reduced, nil) {
+		if realfmla.Eval(kn.reduced, nil) {
 			return 1, nil
 		}
 		return 0, nil
@@ -35,7 +35,7 @@ func (e *Engine) MuAtRadius(phi realfmla.Formula, r float64, samples int) (float
 	// fraction is a radially reweighted version. For the convergence
 	// demonstrations we therefore sample in the reduced space, which has
 	// the same r → ∞ limit.
-	ev := ent.sampler().ev
+	ev := e.sampler(kn).ev
 	hits := 0
 	for i := 0; i < samples; i++ {
 		x := mc.SampleBall(e.rand(), n)
@@ -60,10 +60,10 @@ func (e *Engine) MuAtRadiusLattice(phi realfmla.Formula, r int) (float64, error)
 	if r <= 0 {
 		return 0, fmt.Errorf("core: radius must be positive, got %d", r)
 	}
-	ent := e.compiledFor(phi)
-	n := len(ent.vars)
+	kn := e.compiledFor(phi)
+	n := len(kn.vars)
 	if n == 0 {
-		if realfmla.Eval(ent.reduced, nil) {
+		if realfmla.Eval(kn.reduced, nil) {
 			return 1, nil
 		}
 		return 0, nil
@@ -71,7 +71,7 @@ func (e *Engine) MuAtRadiusLattice(phi realfmla.Formula, r int) (float64, error)
 	if pts := math.Pow(float64(2*r+1), float64(n)); pts > 5e8 {
 		return 0, fmt.Errorf("core: lattice enumeration too large (%g points)", pts)
 	}
-	ev := ent.sampler().ev
+	ev := e.sampler(kn).ev
 	x := make([]float64, n)
 	r2 := float64(r) * float64(r)
 	total, hits := 0, 0

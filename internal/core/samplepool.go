@@ -39,7 +39,9 @@ type samplePool struct {
 // parJob is the shared state of one parallel sampling run. first/chunks
 // bound the claimed chunk range [first, chunks): a full-budget run covers
 // [0, ⌈m/asymChunkSize⌉), while the adaptive race resumes a candidate
-// from its last drawn chunk (see sampleAsymRange).
+// from its last drawn chunk (see sampleAsymRange). samplers holds one
+// sampler per participant, kept across runs and rebound to each run's
+// kernel.
 type parJob struct {
 	samplers  []*asymSampler
 	m, chunks int
@@ -101,13 +103,20 @@ func (e *Engine) samplePoolFor(helpers int) *samplePool {
 }
 
 // runParallel samples the Gaussian-direction chunks [from, to) of an
-// m-sample budget over the entry's compiled formula with `workers`
+// m-sample budget over the kernel's compiled formula with `workers`
 // participants (the calling goroutine plus workers-1 pooled helpers),
 // returning the total hit count. Allocation-free in steady state.
-func (e *Engine) runParallel(ent *compiledEntry, workers, m, from, to int, base int64) int {
+func (e *Engine) runParallel(kn *kernel, workers, m, from, to int, base int64) int {
 	p := e.samplePoolFor(e.workers() - 1)
 	j := &p.job
-	j.samplers = ent.samplerPool(workers)
+	// Grown and rebound on the coordinating goroutine before any helper
+	// is recruited, so every helper sees its slot bound to kn.
+	for len(j.samplers) < workers {
+		j.samplers = append(j.samplers, newAsymSampler())
+	}
+	for _, s := range j.samplers[:workers] {
+		s.bind(kn)
+	}
 	j.m, j.first, j.chunks, j.base = m, from, to, base
 	j.slot.Store(0)
 	j.next.Store(0)

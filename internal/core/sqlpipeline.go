@@ -115,10 +115,11 @@ type SQLStreamInfo struct {
 // a pool engine seeded deterministically from this engine's options and
 // the candidate index, so results are bit-identical to a sequential
 // MeasureBatch run regardless of scheduling. The pool engines share this
-// engine's compiled-kernel cache (see kernelCache), so repeated
+// engine's one compiled-kernel cache (see kernelCache), so repeated
 // MeasureSQL calls and ε-sweeps on one engine compile each candidate
-// constraint once instead of once per call; kernels are immutable, so
-// sharing cannot change the measured values.
+// constraint once instead of once per call (unless CompileCacheSize is
+// negative); kernels are immutable, so sharing cannot change the
+// measured values.
 //
 // MeasureSQL is the buffering collector (collectSQL) over
 // MeasureSQLStream, so the two are bit-identical by construction.

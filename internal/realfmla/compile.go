@@ -2,6 +2,7 @@ package realfmla
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/poly"
 )
@@ -252,25 +253,14 @@ func (c *Compiled) NewEvaluator() *Evaluator {
 	return ev
 }
 
-// Bind points the evaluator at c, growing its truth cache and
-// substitution buffer to c's atom count and degree. The epoch counter
-// carries over, so every truth cached for an earlier formula is stale by
-// the next evaluation: a rebound evaluator decides c exactly as a fresh
-// one does, and once its buffers fit the largest formula it is bound to,
-// rebinding allocates nothing.
+// Bind points the evaluator at c, growing its buffers to fit. The epoch
+// counter carries over, so truths cached for an earlier formula are stale
+// by the next evaluation: a rebound evaluator decides c exactly as a
+// fresh one does.
 func (ev *Evaluator) Bind(c *Compiled) {
 	ev.c = c
-	ev.tg = fit(ev.tg, len(c.atoms))
-	ev.uni = fit(ev.uni, c.maxDeg+1)
-}
-
-// fit returns s resliced to length n, reallocating only when its
-// capacity is short.
-func fit[S ~[]E, E any](s S, n int) S {
-	if cap(s) < n {
-		return make(S, n)
-	}
-	return s[:n]
+	ev.tg = slices.Grow(ev.tg[:0], len(c.atoms))[:len(c.atoms)]
+	ev.uni = slices.Grow(ev.uni[:0], c.maxDeg+1)[:c.maxDeg+1]
 }
 
 // evalMode selects how an Evaluator decides atoms during one evaluation.

@@ -112,6 +112,10 @@ type Config struct {
 	// Engine is the per-request engine configuration. A fixed Seed makes
 	// every response deterministic. PoolWorkers is the per-request
 	// measurement worker budget; 0 divides GOMAXPROCS by MaxInflight.
+	// CompileCacheSize sizes the one compiled-kernel cache every request
+	// engine shares (0 uses the core default of 1024 entries); negative
+	// means the server holds none and every request compiles its
+	// formulas.
 	Engine core.Options
 	// MaxInflight bounds concurrently measuring requests; further
 	// requests queue. 0 uses max(2, GOMAXPROCS).
@@ -133,9 +137,6 @@ type Config struct {
 	// exponentially in it, so an unbounded query could demand unbounded
 	// work from a short request. Default 16.
 	MaxRelations int
-	// KernelCacheSize sizes the cross-request compiled-kernel cache.
-	// 0 uses the core default (1024).
-	KernelCacheSize int
 	// StreamWriteTimeout bounds how long one stream event may take to
 	// reach the client before the stream is aborted (a stalled reader
 	// would otherwise pin its admission slot forever). Default 30s.
@@ -207,7 +208,9 @@ func (c Config) withDefaults() Config {
 
 // Server is an http.Handler serving the arithdb wire protocol.
 type Server struct {
-	cfg     Config
+	cfg Config
+	// kernels is the compiled-kernel cache every request engine shares,
+	// sized by cfg.Engine.CompileCacheSize; nil when that is negative.
 	kernels *core.Kernels
 	gate    *gate
 	mux     *http.ServeMux
@@ -252,11 +255,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		kernels: core.NewKernels(cfg.KernelCacheSize),
-		gate:    newGate(cfg.MaxInflight),
-		mux:     http.NewServeMux(),
-		stopCh:  make(chan struct{}),
+		cfg:    cfg,
+		gate:   newGate(cfg.MaxInflight),
+		mux:    http.NewServeMux(),
+		stopCh: make(chan struct{}),
+	}
+	if cfg.Engine.CompileCacheSize >= 0 {
+		s.kernels = core.NewKernels(cfg.Engine.CompileCacheSize)
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/info", s.handleInfo)
@@ -310,7 +315,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // engine builds the per-request engine: fresh (engines are
-// single-goroutine) but sharing the server-wide compiled-kernel cache.
+// single-goroutine) but sharing the server-wide compiled-kernel cache,
+// when there is one.
 func (s *Server) engine() *core.Engine {
 	eng := core.New(s.cfg.Engine)
 	eng.UseKernels(s.kernels)
