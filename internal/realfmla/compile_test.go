@@ -199,25 +199,32 @@ func checkEvaluatorBind(t *testing.T, seed int64, steps int) (atomsUp, atomsDown
 		c := Compile(f)
 		ev.Bind(c)
 		fresh := c.NewEvaluator()
-		for s := 0; s < 8; s++ {
+		// A varying number of evaluations in a random mode order leaves
+		// each formula's cached truths under varying epochs, so an epoch
+		// that restarted on Bind would read them back as fresh.
+		for evals := 1 + r.Intn(6); evals > 0; evals-- {
 			v := make([]float64, n)
 			ray := make([]bool, n)
 			for i := range v {
-				if s%2 == 0 {
+				if r.Intn(2) == 0 {
 					v[i] = r.NormFloat64()
 				} else {
 					v[i] = float64(r.Intn(5) - 2) // integer: exercises the tolerance fallbacks
 				}
 				ray[i] = r.Intn(2) == 0
 			}
-			if got, want := ev.AsymEval(v, tol), fresh.AsymEval(v, tol); got != want {
-				t.Fatalf("seed %d step %d: rebound AsymEval = %v, fresh %v\nφ = %s\ndir = %v", seed, step, got, want, f, v)
+			var got, want bool
+			mode := r.Intn(3)
+			switch mode {
+			case 0:
+				got, want = ev.AsymEval(v, tol), fresh.AsymEval(v, tol)
+			case 1:
+				got, want = ev.Eval(v), fresh.Eval(v)
+			default:
+				got, want = ev.MixedAsymEval(v, ray, tol), fresh.MixedAsymEval(v, ray, tol)
 			}
-			if got, want := ev.Eval(v), fresh.Eval(v); got != want {
-				t.Fatalf("seed %d step %d: rebound Eval = %v, fresh %v\nφ = %s\nx = %v", seed, step, got, want, f, v)
-			}
-			if got, want := ev.MixedAsymEval(v, ray, tol), fresh.MixedAsymEval(v, ray, tol); got != want {
-				t.Fatalf("seed %d step %d: rebound MixedAsymEval = %v, fresh %v\nφ = %s\nvals = %v ray = %v", seed, step, got, want, f, v, ray)
+			if got != want {
+				t.Fatalf("seed %d step %d: rebound evaluator = %v, fresh %v (mode %d)\nφ = %s\nv = %v ray = %v", seed, step, got, want, mode, f, v, ray)
 			}
 		}
 		if step > 0 {
