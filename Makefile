@@ -120,10 +120,13 @@ shard-check:
 	$(GO) test ./internal/server -race -count=1 -run 'TestSharded'
 	$(GO) test . -race -count=1 -run 'TestShardChaos'
 
-# fuzz-smoke gives each wire-protocol fuzzer a short budget: malformed
-# requests and SQL must come back as structured errors, never panics
-# (CI runs this as its own job; go test -fuzz takes one target at a time).
+# fuzz-smoke gives each fuzzer a short budget: malformed requests and SQL
+# must come back as structured errors, never panics, and an evaluator
+# rebound across random compiled formulas must decide each exactly as a
+# fresh one does (CI runs this as its own job; go test -fuzz takes one
+# target at a time).
 fuzz-smoke:
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzMeasureRequest$$' -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzMeasureSQLString$$' -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzValueRoundTrip$$' -fuzztime 5s
+	$(GO) test ./internal/realfmla -run '^$$' -fuzz '^FuzzEvaluatorBind$$' -fuzztime 5s

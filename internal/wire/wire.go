@@ -103,12 +103,17 @@ type Measure struct {
 	Value float64 `json:"value"`
 	// Rat is the exact rational value as "p/q" when the method is exact
 	// over the rationals.
-	Rat       string `json:"rat,omitempty"`
-	Exact     bool   `json:"exact"`
-	Method    string `json:"method"`
-	Samples   int    `json:"samples"`
-	K         int    `json:"k"`
-	RelevantK int    `json:"relevantK"`
+	Rat     string `json:"rat,omitempty"`
+	Exact   bool   `json:"exact"`
+	Method  string `json:"method"`
+	Samples int    `json:"samples"`
+	// K is the ambient dimension: the database's whole numerical-null
+	// count, not the answer's, so it changes when unrelated nulls are
+	// inserted. RelevantK is the count that belongs to the answer: the
+	// nulls the candidate's constraint actually depends on. K stays on the
+	// wire because the benchmark's oracle (benchmark/oracle.go) reads it.
+	K         int `json:"k"`
+	RelevantK int `json:"relevantK"`
 	// SamplesDrawn and Rounds carry the adaptive race's per-candidate
 	// spend (core.Result); zero — and omitted — on non-adaptive paths.
 	SamplesDrawn int `json:"samplesDrawn,omitempty"`
