@@ -2,7 +2,9 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/poly"
 	"repro/internal/realfmla"
@@ -54,6 +56,25 @@ func TestAdditiveApproxDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNoGoroutineOutlivesCall: a single formula spends its goroutine
+// budget on its sample chunks and joins every goroutine it started
+// before it returns — no forced GC, and the engine still reachable.
+func TestNoGoroutineOutlivesCall(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := New(Options{Seed: 3, DisableExact: true, PoolWorkers: 4})
+	if _, err := e.AdditiveApprox(detFormulas()[1], 0.02, 0.25); err != nil {
+		t.Fatal(err)
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(200 * time.Millisecond); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > base {
+		t.Errorf("%d goroutine(s) outlive AdditiveApprox at PoolWorkers 4", n-base)
+	}
+	runtime.KeepAlive(e)
 }
 
 // TestMeasureBatchDeterministicAcrossWorkers: MeasureBatch results are
