@@ -174,14 +174,15 @@ var (
 type Engine = core.Engine
 
 // EngineOptions configures an Engine. Performance knobs of note:
-// Workers fans the additive-approximation (AFPRAS) sample loop of a
-// single constraint out over goroutines (default GOMAXPROCS; results
-// are bit-identical for a fixed Seed regardless of the setting; the
-// background/distribution samplers stay sequential), and
-// CompileCacheSize sizes the engine's one compiled-kernel cache (its
-// own, or the shared one UseKernels sets; negative means none), which
-// lets ε-sweeps over the same candidate constraints compile each
-// formula once instead of once per call. The SQL pipeline has one
+// PoolWorkers is the one goroutine budget of a call (default
+// GOMAXPROCS), spent on candidates by a SQL measurement or MeasureBatch
+// and on the chunks of the additive-approximation (AFPRAS) sample loop
+// by a single constraint (the background/distribution samplers stay
+// sequential); results are bit-identical for a fixed Seed regardless of
+// the setting. CompileCacheSize sizes the engine's one compiled-kernel
+// cache (its own, or the shared one UseKernels sets; negative means
+// none), which lets ε-sweeps over the same candidate constraints compile
+// each formula once instead of once per call. The SQL pipeline has one
 // configuration (join reordering, probes of the database's persistent
 // equality indexes) and no options.
 type EngineOptions = core.Options
@@ -194,7 +195,7 @@ func NewEngine(opts EngineOptions) *Engine { return core.New(opts) }
 
 // MeasureBatch computes measures for many constraints concurrently with
 // deterministic per-item seeding (one engine per item, worker pool sized
-// to GOMAXPROCS).
+// by PoolWorkers, default GOMAXPROCS).
 var MeasureBatch = core.MeasureBatch
 
 // Method names reported in Result.Method.

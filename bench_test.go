@@ -126,7 +126,7 @@ func BenchmarkFigure1aWorkers(b *testing.B) {
 				PaperSampleCount: true,
 				DisableExact:     true,
 				ForceSampling:    true,
-				Workers:          workers,
+				PoolWorkers:      workers,
 			})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -163,7 +163,7 @@ func BenchmarkFigure1aWorkersScaled(b *testing.B) {
 				PaperSampleCount: true,
 				DisableExact:     true,
 				ForceSampling:    true,
-				Workers:          workers,
+				PoolWorkers:      workers,
 			})
 			samples := 0
 			b.ResetTimer()

@@ -73,8 +73,8 @@ func commonFlags(fs *flag.FlagSet) (data, query *string, eps, delta *float64, op
 	delta = fs.Float64("delta", 0.05, "failure probability")
 	opts = &arithdb.EngineOptions{}
 	fs.Int64Var(&opts.Seed, "seed", 1, "random seed")
-	fs.IntVar(&opts.Workers, "workers", 0,
-		"goroutines for intra-formula sampling (0 = GOMAXPROCS; results are seed-deterministic regardless)")
+	fs.IntVar(&opts.PoolWorkers, "workers", 0,
+		"goroutine budget of a call: candidates measured at once, or one formula's sample chunks (0 = GOMAXPROCS; results are seed-deterministic regardless)")
 	fs.IntVar(&opts.CompileCacheSize, "compile-cache", 0,
 		"compiled-kernel cache entries (0 = default 1024, negative = no cache: every formula is compiled on each use)")
 	return

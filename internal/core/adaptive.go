@@ -39,8 +39,8 @@ import (
 // come from itemOptions exactly as in MeasureBatch, chunk draws are pure
 // in (base, chunk index), and round decisions are computed sequentially
 // from the accumulated hit counts — so results are bit-stable across
-// Workers/PoolWorkers and across repeated runs, the same contract the
-// fixed path documents. Ties (equal interval endpoints, e.g. many
+// PoolWorkers and across repeated runs, the same contract the fixed
+// path documents. Ties (equal interval endpoints, e.g. many
 // exactly-certain candidates) break toward the lower candidate index,
 // which makes an all-certain LIMIT-k query resolve to the first k
 // candidates in derivation order — the legacy semantics — with zero

@@ -75,9 +75,9 @@ func skewedMeasures(n, winners int) []float64 {
 }
 
 // TestMeasureTopKDeterministic: the adaptive race is bit-stable across
-// Workers and PoolWorkers settings and across repeated runs — winners,
-// values, per-candidate spend and total spend all identical, the same
-// contract the fixed path documents.
+// PoolWorkers settings and across repeated runs — winners, values,
+// per-candidate spend and total spend all identical, the same contract
+// the fixed path documents.
 func TestMeasureTopKDeterministic(t *testing.T) {
 	mus := skewedMeasures(12, 3)
 	phis := make([]realfmla.Formula, len(mus))
@@ -86,8 +86,8 @@ func TestMeasureTopKDeterministic(t *testing.T) {
 	}
 	var ref *TopKResult
 	for run := 0; run < 2; run++ {
-		for _, w := range []struct{ workers, pool int }{{1, 1}, {2, 4}, {4, 2}, {0, 0}} {
-			e := New(Options{Seed: 71, DisableExact: true, Workers: w.workers, PoolWorkers: w.pool})
+		for _, w := range []int{1, 2, 4, 0} {
+			e := New(Options{Seed: 71, DisableExact: true, PoolWorkers: w})
 			res, err := e.MeasureTopK(phis, 3, 0.03, 0.2)
 			if err != nil {
 				t.Fatal(err)
@@ -98,7 +98,7 @@ func TestMeasureTopKDeterministic(t *testing.T) {
 			}
 			if len(res.Winners) != len(ref.Winners) ||
 				res.SamplesDrawn != ref.SamplesDrawn || res.Rounds != ref.Rounds {
-				t.Fatalf("run %d workers %+v: shape %v/%d/%d, want %v/%d/%d",
+				t.Fatalf("run %d workers %d: shape %v/%d/%d, want %v/%d/%d",
 					run, w, res.Winners, res.SamplesDrawn, res.Rounds,
 					ref.Winners, ref.SamplesDrawn, ref.Rounds)
 			}
@@ -106,7 +106,7 @@ func TestMeasureTopKDeterministic(t *testing.T) {
 				if res.Winners[i] != ref.Winners[i] ||
 					res.Results[i].Value != ref.Results[i].Value ||
 					res.Results[i].SamplesDrawn != ref.Results[i].SamplesDrawn {
-					t.Fatalf("run %d workers %+v winner %d: %d/%v/%d, want %d/%v/%d",
+					t.Fatalf("run %d workers %d winner %d: %d/%v/%d, want %d/%v/%d",
 						run, w, i, res.Winners[i], res.Results[i].Value, res.Results[i].SamplesDrawn,
 						ref.Winners[i], ref.Results[i].Value, ref.Results[i].SamplesDrawn)
 				}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/db"
 	"repro/internal/fo"
@@ -91,8 +93,7 @@ const asymChunkSize = 256
 
 // asymSampler bundles the per-goroutine scratch of the AFPRAS inner loop:
 // a formula evaluator, a direction buffer, and an O(1)-reseed RNG. An
-// engine or a sample-pool participant owns one and binds it to each
-// kernel it samples; chunks reseed the RNG, so no earlier kernel leaves a
+// engine owns one and binds it to each kernel it samples; chunks reseed the RNG, so no earlier kernel leaves a
 // trace. Once its buffers fit, sampling and rebinding allocate nothing.
 type asymSampler struct {
 	ev  *realfmla.Evaluator
@@ -114,8 +115,8 @@ func (s *asymSampler) bind(kn *kernel) *asymSampler {
 	return s
 }
 
-// sampler returns the engine's sampling scratch bound to kn; parallel
-// participants bring their own (runParallel).
+// sampler returns the engine's sampling scratch bound to kn; the slots of
+// a parallel sampleAsymRange use their pool engines' own.
 func (e *Engine) sampler(kn *kernel) *asymSampler {
 	if e.smp == nil {
 		e.smp = newAsymSampler()
@@ -148,12 +149,10 @@ func chunkLen(m, ch int) int {
 
 // sampleAsym counts, over m sampled Gaussian directions, how often the
 // kernel's compiled formula holds asymptotically, fanning fixed-size
-// chunks of samples out over Options.Workers participants (the calling
-// goroutine plus the engine's persistent helper pool — see samplePool).
-// Every participant owns a private asymSampler and chunks are claimed
-// atomically, so the steady-state loop does not allocate at any worker
-// count; the single-worker path reuses the engine's sampler across calls
-// and kernels.
+// chunks of samples out over the engine's goroutine budget
+// (Options.PoolWorkers, see fanOut). The one-slot path samples on the
+// calling goroutine with the engine's own sampler, reused across calls
+// and kernels, and allocates nothing.
 func (e *Engine) sampleAsym(kn *kernel, m int, base int64) int {
 	return e.sampleAsymRange(kn, m, base, 0, (m+asymChunkSize-1)/asymChunkSize)
 }
@@ -163,9 +162,10 @@ func (e *Engine) sampleAsym(kn *kernel, m int, base int64) int {
 // chunk index) alone, so drawing a budget in installments — the adaptive
 // race grows each candidate's prefix round by round — produces exactly
 // the samples a single full-budget run would have drawn: the hit counts
-// of disjoint ranges sum to the full-budget hit count bit-for-bit.
+// of disjoint ranges sum to the full-budget hit count bit-for-bit, at
+// any width.
 func (e *Engine) sampleAsymRange(kn *kernel, m int, base int64, from, to int) int {
-	workers := e.workers()
+	workers := e.opts.poolWorkers()
 	if workers > to-from {
 		workers = to - from
 	}
@@ -177,7 +177,17 @@ func (e *Engine) sampleAsymRange(kn *kernel, m int, base int64, from, to int) in
 		}
 		return hits
 	}
-	return e.runParallel(kn, workers, m, from, to, base)
+	// Slot w samples with pool engine w's sampler, bound here before any
+	// goroutine starts.
+	for w := 0; w < workers; w++ {
+		e.itemEngine(w).sampler(kn)
+	}
+	var hits atomic.Int64
+	fanOut(context.Background(), workers, to-from, func(w, i int) {
+		ch := from + i
+		hits.Add(int64(e.itemEngines[w].smp.chunk(mc.DeriveSeed(base, int64(ch)), chunkLen(m, ch))))
+	})
+	return int(hits.Load())
 }
 
 // AdditiveApproxDirect is the same additive-error scheme evaluated without

@@ -8,16 +8,14 @@ import (
 
 // itemOptions derives the per-item engine options of the measurement
 // pipeline (MeasureBatch, Engine.MeasureSQL, the race): a deterministic
-// per-index seed, and no nested sampling fan-out unless explicitly
-// requested — the pool is already GOMAXPROCS wide, and values are
-// Workers-independent, so this only affects scheduling. It is the
-// determinism contract tying MeasureSQL to MeasureBatch; seedItem is its
-// one caller.
+// per-index seed, and a goroutine budget of one — the pass over
+// candidates already spends the caller's budget, so nested fan-out is
+// impossible, and values are width-independent, so this only affects
+// scheduling. It is the determinism contract tying MeasureSQL to
+// MeasureBatch; seedItem is its one caller.
 func itemOptions(o Options, idx int) Options {
 	o.Seed += int64(idx) * 1_000_003
-	if o.Workers == 0 {
-		o.Workers = 1
-	}
+	o.PoolWorkers = 1
 	return o
 }
 
@@ -50,9 +48,10 @@ func (e *Engine) itemEngine(w int) *Engine {
 
 // MeasureBatch computes measures for many formulas concurrently — the
 // shape of the experiment pipeline, where every candidate tuple of a SQL
-// result needs its own confidence level. Engines are not safe for
+// result needs its own confidence level. It spends opts.PoolWorkers on
+// formulas, each measured on one goroutine: engines are not safe for
 // concurrent use, so each formula is measured under its own per-index
-// seeding on a worker-owned pool engine (forEachItem): results are
+// seeding on a worker-owned pool engine (forEachItem), and results are
 // identical to a sequential run regardless of scheduling. The batch owns
 // one shared compiled-kernel cache, so duplicate formulas compile once.
 // A nil error slice entry means the corresponding result is valid.

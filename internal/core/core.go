@@ -79,22 +79,17 @@ type Options struct {
 	// candidate tuple unconditionally; benchmarks reproducing its timing
 	// enable this.
 	ForceSampling bool
-	// Workers is the number of goroutines used for intra-formula sampling
-	// in the additive asymptotic sampler (AdditiveApprox and the AFPRAS
-	// path of Measure/MeasureFormula; the Section 10 background and
-	// distribution samplers are sequential): the m samples are split into
-	// fixed-size chunks with deterministically derived per-chunk seeds,
-	// so for a given Seed the result is bit-identical regardless of
-	// Workers (the same contract MeasureBatch documents across items).
-	// 0 uses GOMAXPROCS; 1 samples on the calling goroutine.
-	Workers int
-	// PoolWorkers bounds the concurrency of the candidate-measurement
-	// pools (MeasureSQL, MeasureSQLStream, MeasureBatch): the number of
-	// goroutines measuring candidates at once. 0 uses GOMAXPROCS. Like
-	// Workers it never changes results — per-candidate engines are seeded
-	// by candidate index — only scheduling; a multi-user server sets it
-	// as the per-request worker budget so one request cannot monopolize
-	// the machine.
+	// PoolWorkers is the engine's one goroutine budget per call. A pass
+	// over candidates (MeasureSQL, MeasureSQLStream, MeasureBatch, the
+	// top-k race) spends it on candidates, each measured on one goroutine;
+	// a single formula (Measure, MeasureFormula, AdditiveApprox) spends it
+	// on its fixed-size chunks of AFPRAS samples (the Section 10
+	// background and distribution samplers are sequential). 0 uses
+	// GOMAXPROCS; 1 runs everything on the calling goroutine. It never
+	// changes results: candidates are seeded by index and sample chunks
+	// by chunk index, so for a given Seed every value is bit-identical at
+	// any width. A multi-user server sets it as the per-request worker
+	// budget so one request cannot monopolize the machine.
 	PoolWorkers int
 	// CompileCacheSize sizes the engine's own kernel cache (kernelCache),
 	// used unless UseKernels set a shared one, so ε-sweeps over the same
@@ -132,9 +127,9 @@ func (o Options) withDefaults() Options {
 }
 
 // Engine computes measures of certainty. It is not safe for concurrent use;
-// create one engine per goroutine (they are cheap). An engine may still
-// fan its own sampling work out across Options.Workers goroutines
-// internally.
+// create one engine per goroutine (they are cheap). A call may still fan
+// its own work out across Options.PoolWorkers goroutines internally, and
+// joins them all before it returns.
 type Engine struct {
 	opts Options
 	rng  *rand.Rand
@@ -143,12 +138,10 @@ type Engine struct {
 	kc *kernelCache
 	// smp is the sampling scratch, rebound to each kernel (see sampler).
 	smp *asymSampler
-	// pool is the persistent crew of parallel-sampling helpers (lazily
-	// started when Options.Workers > 1 — see samplePool).
-	pool *samplePool
-	// itemEngines are the reusable per-candidate engines of this engine's
-	// measurement pools (MeasureSQLStream): one per pool worker, reseeded
-	// per candidate (resetItem), bit-identical to freshly built ones.
+	// itemEngines are the reusable per-slot engines of this engine's
+	// fan-outs: one per pool worker, reseeded per candidate (resetItem),
+	// bit-identical to freshly built ones; a parallel sample loop uses
+	// only their samplers (sampleAsymRange).
 	itemEngines []*Engine
 
 	// Lazy reseeding of pooled item engines. resetItem only marks the
@@ -216,16 +209,8 @@ func (e *Engine) kernels() *kernelCache {
 	return e.kc
 }
 
-// workers resolves Options.Workers to a concrete worker count.
-func (e *Engine) workers() int {
-	if e.opts.Workers > 0 {
-		return e.opts.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// poolWorkers resolves Options.PoolWorkers to a concrete measurement-pool
-// width.
+// poolWorkers resolves Options.PoolWorkers to a concrete goroutine
+// budget.
 func (o Options) poolWorkers() int {
 	if o.PoolWorkers > 0 {
 		return o.PoolWorkers

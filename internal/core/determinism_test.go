@@ -33,14 +33,15 @@ func detFormulas() []realfmla.Formula {
 
 // TestAdditiveApproxDeterministicAcrossWorkers: for a fixed Options.Seed,
 // AdditiveApprox returns bit-identical values across repeated runs and
-// across worker counts — the contract that lets deployments tune Workers
-// without changing any measured value.
+// across goroutine budgets — the contract that lets deployments tune
+// PoolWorkers without changing any measured value. The budgets include
+// one wider than the call's chunk count.
 func TestAdditiveApproxDeterministicAcrossWorkers(t *testing.T) {
 	for i, phi := range detFormulas() {
 		var ref Result
 		for run := 0; run < 2; run++ {
-			for _, workers := range []int{1, 4} {
-				e := New(Options{Seed: 42, DisableExact: true, Workers: workers})
+			for _, workers := range []int{1, 4, 64} {
+				e := New(Options{Seed: 42, DisableExact: true, PoolWorkers: workers})
 				res, err := e.AdditiveApprox(phi, 0.05, 0.25)
 				if err != nil {
 					t.Fatalf("formula %d workers %d: %v", i, workers, err)
@@ -77,8 +78,32 @@ func TestNoGoroutineOutlivesCall(t *testing.T) {
 	runtime.KeepAlive(e)
 }
 
+// TestSampleAsymRangeInstallments: drawing chunks [0,a) and then [a,b)
+// at width 3 counts exactly the hits one draw of [0,b) at width 1 does —
+// the property the adaptive race's round-by-round prefixes rely on.
+func TestSampleAsymRangeInstallments(t *testing.T) {
+	const chunks, base = 7, int64(20200)
+	const m = chunks*asymChunkSize - 17 // a short last chunk
+	for i, phi := range detFormulas() {
+		seq := New(Options{Seed: 5, PoolWorkers: 1})
+		par := New(Options{Seed: 5, PoolWorkers: 3})
+		kn := seq.compiledFor(phi)
+		for b := 1; b <= chunks; b++ {
+			want := seq.sampleAsymRange(kn, m, base, 0, b)
+			for a := 0; a <= b; a++ {
+				got := par.sampleAsymRange(kn, m, base, 0, a) + par.sampleAsymRange(kn, m, base, a, b)
+				if got != want {
+					t.Errorf("formula %d: [0,%d)+[%d,%d) at width 3 counts %d hits, [0,%d) at width 1 counts %d",
+						i, a, a, b, got, b, want)
+				}
+			}
+		}
+	}
+}
+
 // TestMeasureBatchDeterministicAcrossWorkers: MeasureBatch results are
-// bit-identical across repeated runs and across Options.Workers settings.
+// bit-identical across repeated runs and across Options.PoolWorkers
+// settings.
 func TestMeasureBatchDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	phis := detFormulas()
@@ -88,7 +113,7 @@ func TestMeasureBatchDeterministicAcrossWorkers(t *testing.T) {
 	var ref []Result
 	for run := 0; run < 2; run++ {
 		for _, workers := range []int{1, 4} {
-			res, errs := MeasureBatch(Options{Seed: 9, DisableExact: true, Workers: workers},
+			res, errs := MeasureBatch(Options{Seed: 9, DisableExact: true, PoolWorkers: workers},
 				phis, 0.05, 0.25)
 			for j, err := range errs {
 				if err != nil {

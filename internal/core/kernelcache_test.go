@@ -31,7 +31,7 @@ func sampledFormulas(count int) []realfmla.Formula {
 func TestFreshEngineAllocsIndependentOfFormulaCount(t *testing.T) {
 	phis := sampledFormulas(40)
 	kc := NewKernels(0)
-	opts := Options{Seed: 7, DisableExact: true, Workers: 1}
+	opts := Options{Seed: 7, DisableExact: true, PoolWorkers: 1}
 	warm := New(opts)
 	warm.UseKernels(kc)
 	for _, phi := range phis {

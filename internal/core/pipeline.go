@@ -161,34 +161,48 @@ func (e *Engine) seedItem(eng *Engine, idx int) *Engine {
 func (e *Engine) poolWidth(n int) int { return min(e.opts.poolWorkers(), n) }
 
 // forEachItem is the scheduler: it calls f(eng, idx) for every candidate
-// index in [0, n) on a pool engine seeded for that index, inline on the
-// calling goroutine when the pool is one worker wide (no goroutines or
-// channels), PoolWorkers goroutines pulling indices in order otherwise.
-// It stops handing out indices once ctx is done. f must touch only
-// per-index state; then scheduling cannot change any value.
+// index in [0, n) on a pool engine seeded for that index, fanned out over
+// the pool width (fanOut). It stops handing out indices once ctx is done.
+// f must touch only per-index state; then scheduling cannot change any
+// value.
 func (e *Engine) forEachItem(ctx context.Context, n int, f func(eng *Engine, idx int)) {
-	workers := e.poolWidth(n)
-	if workers <= 1 {
-		for idx := 0; idx < n && ctx.Err() == nil; idx++ {
-			f(e.seedItem(e.itemEngine(0), idx), idx)
+	width := e.poolWidth(n)
+	if width > 1 {
+		// Created here, not racily by the workers' first seedItem.
+		e.kernels()
+		e.itemEngine(width - 1)
+	}
+	fanOut(ctx, width, n, func(w, idx int) { f(e.seedItem(e.itemEngine(w), idx), idx) })
+}
+
+// fanOut is the engine's one goroutine fan-out: it calls f(w, i) for
+// every i in [0, n), inline on the calling goroutine (slot w = 0, no
+// goroutines or channels) when width ≤ 1, and otherwise on width
+// goroutines, slots 0 to width-1, pulling indices in order from a shared
+// counter. It stops handing out indices once ctx is done, and it returns
+// only after every goroutine it started has exited, so none outlives the
+// call.
+func fanOut(ctx context.Context, width, n int, f func(w, i int)) {
+	if width <= 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			f(0, i)
 		}
 		return
 	}
-	e.kernels() // created here, not racily by the workers' first seedItem
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < width; w++ {
 		wg.Add(1)
-		go func(eng *Engine) {
+		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				idx := int(next.Add(1)) - 1
-				if idx >= n {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				f(e.seedItem(eng, idx), idx)
+				f(w, i)
 			}
-		}(e.itemEngine(w))
+		}()
 	}
 	wg.Wait()
 }

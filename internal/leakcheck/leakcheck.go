@@ -55,16 +55,12 @@ func VerifyTestMain(m interface{ Run() int }) {
 }
 
 // Find returns an error describing all leaked goroutines, retrying with
-// backoff (and forcing GC, so runtime.AddCleanup-driven shutdowns — the
-// engine sample pools — get their chance to run) until the stacks drain
-// or the retry budget is spent.
+// backoff until the stacks drain or the retry budget is spent. It forces
+// no GC: a goroutine that only a collection would stop counts as leaked.
 func Find() error {
 	var leaked []goroutineStack
 	delay := time.Millisecond
 	for i := 0; i < retries; i++ {
-		// Unreachable engines stop their sample-pool helpers from a GC
-		// cleanup; two cycles let the cleanup run and the helpers exit.
-		runtime.GC()
 		leaked = filter(stacks())
 		if len(leaked) == 0 {
 			return nil

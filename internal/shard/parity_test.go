@@ -84,9 +84,9 @@ func assertMeasuredEqual(t testing.TB, label string, got, want *core.SQLMeasured
 func TestShardCountInvariance(t *testing.T) {
 	ref := salesFixture(t)
 	optVariants := []core.Options{
-		{Seed: 9, PoolWorkers: 1, Workers: 1},
+		{Seed: 9, PoolWorkers: 1},
 		{Seed: 9, PoolWorkers: 3},
-		{Seed: 9, Workers: 2},
+		{Seed: 9, PoolWorkers: 2},
 	}
 	ctx := context.Background()
 	for qi, qs := range parityQueries {
@@ -259,7 +259,7 @@ func TestShardParityFuzz(t *testing.T) {
 				}
 			}
 		}
-		o := core.Options{Seed: int64(1 + round), PoolWorkers: round % 3, Workers: 1 + round%2}
+		o := core.Options{Seed: int64(1 + round), PoolWorkers: round % 3}
 		for _, qs := range []string{
 			parityQueries[rng.Intn(len(parityQueries))],
 			fuzzJoinQueries[rng.Intn(len(fuzzJoinQueries))],

@@ -39,7 +39,7 @@ func TestSessionFusedPipeline(t *testing.T) {
 	// The adaptive race is covered by internal/core's adaptive suite.
 	for _, opts := range []arithdb.EngineOptions{
 		{Seed: 5, NoAdaptive: true},
-		{Seed: 5, NoAdaptive: true, Workers: 2},
+		{Seed: 5, NoAdaptive: true, PoolWorkers: 2},
 	} {
 		sess := arithdb.NewSession(d, opts)
 		ev, err := sess.SQL(src)
