@@ -121,12 +121,16 @@ shard-check:
 	$(GO) test . -race -count=1 -run 'TestShardChaos'
 
 # fuzz-smoke gives each fuzzer a short budget: malformed requests and SQL
-# must come back as structured errors, never panics, and an evaluator
+# must come back as structured errors, never panics, an evaluator
 # rebound across random compiled formulas must decide each exactly as a
-# fresh one does (CI runs this as its own job; go test -fuzz takes one
-# target at a time).
+# fresh one does, and arbitrary bytes read as WAL records or batch
+# payloads must never panic, be accepted past a checksum mismatch, or be
+# accepted in any encoding but the writer's own (CI runs this as its own
+# job; go test -fuzz takes one target at a time).
 fuzz-smoke:
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzMeasureRequest$$' -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzMeasureSQLString$$' -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzValueRoundTrip$$' -fuzztime 5s
 	$(GO) test ./internal/realfmla -run '^$$' -fuzz '^FuzzEvaluatorBind$$' -fuzztime 5s
+	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzParseRecord$$' -fuzztime 5s
+	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 5s

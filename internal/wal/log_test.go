@@ -58,8 +58,11 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBatchCodecRoundTrip(t *testing.T) {
-	batches := []Batch{
+// codecBatches are insert batches covering every value kind, float bit
+// patterns that only a bit-exact codec keeps (NaN, -Inf, -0), and an
+// empty batch.
+func codecBatches() []Batch {
+	return []Batch{
 		{Relation: "R", Tuples: []value.Tuple{
 			{value.Base("a"), value.Num(1.5), value.NullBase(3)},
 			{value.Base(""), value.Num(math.NaN()), value.NullBase(0)},
@@ -71,7 +74,10 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 		}},
 		{Relation: "Empty", Tuples: nil},
 	}
-	for i, b := range batches {
+}
+
+func TestBatchCodecRoundTrip(t *testing.T) {
+	for i, b := range codecBatches() {
 		enc := encodeBatch(nil, b.Relation, b.Tuples)
 		got, err := decodeBatch(enc)
 		if err != nil {
@@ -110,6 +116,16 @@ func TestDecodeBatchRejectsCorruption(t *testing.T) {
 	}
 	if _, err := decodeBatch(append(enc[:len(enc):len(enc)], 0)); err == nil {
 		t.Fatal("trailing byte decoded cleanly")
+	}
+	// Encodings encodeBatch never writes: an overlong uvarint, and an
+	// empty batch with a nonzero arity.
+	for _, bad := range [][]byte{
+		{0x81, 0x00, 'R', 0, 0},
+		{1, 'R', 0, 1},
+	} {
+		if _, err := decodeBatch(bad); err == nil {
+			t.Errorf("non-canonical payload %x decoded cleanly", bad)
+		}
 	}
 }
 

@@ -4,7 +4,7 @@ package wal
 //
 // One log record is
 //
-//	uint32  length of what follows (little endian): 12 + len(payload)
+//	uint32  length of seq ‖ payload (little endian): 8 + len(payload)
 //	uint32  CRC32C over seq ‖ payload
 //	uint64  sequence number of the batch (strictly increasing)
 //	bytes   payload
@@ -150,7 +150,9 @@ func encodeBatch(buf []byte, rel string, tuples []value.Tuple) []byte {
 
 // decodeBatch parses a payload produced by encodeBatch. Errors mean real
 // corruption — the checksum already vouched for the bytes — so replay
-// fails loudly instead of truncating.
+// fails loudly instead of truncating. It accepts only encodeBatch's own
+// encoding (minimal uvarints, arity 0 for an empty batch), so an
+// accepted payload is the one encoding of its batch.
 func decodeBatch(payload []byte) (Batch, error) {
 	var b Batch
 	rel, payload, err := decodeString(payload)
@@ -165,6 +167,9 @@ func decodeBatch(payload []byte) (Batch, error) {
 	arity, payload, err := decodeUvarint(payload)
 	if err != nil {
 		return b, fmt.Errorf("wal: batch arity: %w", err)
+	}
+	if count == 0 && arity != 0 {
+		return b, fmt.Errorf("wal: empty batch claims arity %d", arity)
 	}
 	if count > uint64(len(payload)) || arity > uint64(len(payload))+1 {
 		// Each tuple costs at least one byte per value; reject absurd
@@ -221,6 +226,9 @@ func decodeUvarint(data []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(data)
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("bad uvarint")
+	}
+	if n > 1 && data[n-1] == 0 {
+		return 0, nil, fmt.Errorf("non-minimal uvarint")
 	}
 	return v, data[n:], nil
 }
