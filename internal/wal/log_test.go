@@ -5,6 +5,7 @@ package wal
 // checksum, and injected write/sync faults surface as errors.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -117,11 +118,12 @@ func TestDecodeBatchRejectsCorruption(t *testing.T) {
 	if _, err := decodeBatch(append(enc[:len(enc):len(enc)], 0)); err == nil {
 		t.Fatal("trailing byte decoded cleanly")
 	}
-	// Encodings encodeBatch never writes: an overlong uvarint, and an
-	// empty batch with a nonzero arity.
+	// Encodings encodeBatch never writes: an overlong uvarint, an empty
+	// batch with a nonzero arity, and a null ID no int holds.
 	for _, bad := range [][]byte{
 		{0x81, 0x00, 'R', 0, 0},
 		{1, 'R', 0, 1},
+		binary.AppendUvarint([]byte{1, 'R', 1, 1, tagNumNull}, 1<<63),
 	} {
 		if _, err := decodeBatch(bad); err == nil {
 			t.Errorf("non-canonical payload %x decoded cleanly", bad)

@@ -193,11 +193,11 @@ func decodeBatch(payload []byte) (Batch, error) {
 				}
 				t[j] = value.Base(s)
 			case tagBaseNull:
-				var id uint64
-				if id, payload, err = decodeUvarint(payload); err != nil {
+				var id int
+				if id, payload, err = decodeNullID(payload); err != nil {
 					return b, fmt.Errorf("wal: tuple %d: %w", i, err)
 				}
-				t[j] = value.NullBase(int(id))
+				t[j] = value.NullBase(id)
 			case tagNumConst:
 				if len(payload) < 8 {
 					return b, fmt.Errorf("wal: tuple %d: short float", i)
@@ -205,11 +205,11 @@ func decodeBatch(payload []byte) (Batch, error) {
 				t[j] = value.Num(math.Float64frombits(binary.LittleEndian.Uint64(payload)))
 				payload = payload[8:]
 			case tagNumNull:
-				var id uint64
-				if id, payload, err = decodeUvarint(payload); err != nil {
+				var id int
+				if id, payload, err = decodeNullID(payload); err != nil {
 					return b, fmt.Errorf("wal: tuple %d: %w", i, err)
 				}
-				t[j] = value.NullNum(int(id))
+				t[j] = value.NullNum(id)
 			default:
 				return b, fmt.Errorf("wal: tuple %d: unknown value tag %d", i, tag)
 			}
@@ -231,6 +231,15 @@ func decodeUvarint(data []byte) (uint64, []byte, error) {
 		return 0, nil, fmt.Errorf("non-minimal uvarint")
 	}
 	return v, data[n:], nil
+}
+
+// decodeNullID decodes a null ID, which must fit a non-negative int.
+func decodeNullID(data []byte) (int, []byte, error) {
+	id, data, err := decodeUvarint(data)
+	if err == nil && id > math.MaxInt {
+		err = fmt.Errorf("null ID %d out of range", id)
+	}
+	return int(id), data, err
 }
 
 func decodeString(data []byte) (string, []byte, error) {
