@@ -93,8 +93,9 @@ const asymChunkSize = 256
 
 // asymSampler bundles the per-goroutine scratch of the AFPRAS inner loop:
 // a formula evaluator, a direction buffer, and an O(1)-reseed RNG. An
-// engine owns one and binds it to each kernel it samples; chunks reseed the RNG, so no earlier kernel leaves a
-// trace. Once its buffers fit, sampling and rebinding allocate nothing.
+// engine owns one and binds it to each kernel it samples; chunks reseed
+// the RNG, so no earlier kernel leaves a trace. Once its buffers fit,
+// sampling and rebinding allocate nothing.
 type asymSampler struct {
 	ev  *realfmla.Evaluator
 	dir []float64
@@ -183,7 +184,7 @@ func (e *Engine) sampleAsymRange(kn *kernel, m int, base int64, from, to int) in
 		e.itemEngine(w).sampler(kn)
 	}
 	var hits atomic.Int64
-	fanOut(context.Background(), workers, to-from, func(w, i int) {
+	fanOut(context.TODO(), workers, to-from, func(w, i int) {
 		ch := from + i
 		hits.Add(int64(e.itemEngines[w].smp.chunk(mc.DeriveSeed(base, int64(ch)), chunkLen(m, ch))))
 	})
