@@ -113,9 +113,11 @@ func BenchmarkFigure1a(b *testing.B) { benchFigure(b, "CompetitiveAdvantage") }
 
 // BenchmarkFigure1aWorkers measures intra-formula sampling parallelism on
 // the Figure 1a workload: the same ε=0.02 confidence computation with the
-// m samples of each candidate fanned out over 1, 2 and 4 workers. Values
-// are bit-identical across the worker counts (see the determinism tests);
-// only the wall clock changes.
+// m samples of each candidate fanned out over a goroutine budget
+// (PoolWorkers) of 1, 2 and 4. Values are bit-identical across the
+// budgets (see the determinism tests); only the wall clock changes, and
+// each parallel MeasureFormula call pays a few allocations for the
+// goroutines it starts and joins.
 func BenchmarkFigure1aWorkers(b *testing.B) {
 	w := figureWorkload(b)
 	cands := w.candidates["CompetitiveAdvantage"]
@@ -141,10 +143,11 @@ func BenchmarkFigure1aWorkers(b *testing.B) {
 }
 
 // BenchmarkFigure1aWorkersScaled is the worker benchmark that is actually
-// large enough to show multi-core scaling: BenchmarkFigure1aWorkers runs
-// ε = 0.02 (m = 2500 samples, ten 256-sample chunks per candidate), where
-// per-call scheduling overhead swamps any parallel win and workers=1/2/4
-// all land on the same wall clock. Here each candidate draws m = 40000
+// large enough to show multi-core scaling (PoolWorkers 1, 2 and 4, as
+// above): BenchmarkFigure1aWorkers runs ε = 0.02 (m = 2500 samples, ten
+// 256-sample chunks per candidate), where per-call scheduling overhead
+// swamps any parallel win and workers=1/2/4 all land on the same wall
+// clock. Here each candidate draws m = 40000
 // samples (ε = 0.005, ~157 chunks), so on a multi-core host the sample
 // loop dominates and the wall clock scales with the worker count, while
 // on a single-core host the three series bound the scheduling overhead

@@ -34,9 +34,10 @@ func (e *Engine) resetItem(o Options, kernels *kernelCache) {
 }
 
 // itemEngine returns the w-th reusable pool engine of this engine's
-// measurement pools, creating it on first use. Each pool worker owns one
-// engine for the duration of a call; calls on the parent engine are
-// sequential, so reuse across calls is single-owner too.
+// fan-outs, creating it on first use. Each fan-out slot owns one engine
+// for the duration of a call; calls on the parent engine are sequential,
+// so reuse across calls is single-owner too. Slots that run concurrently
+// must be created before the fan-out starts.
 func (e *Engine) itemEngine(w int) *Engine {
 	for len(e.itemEngines) <= w {
 		eng := New(e.opts)

@@ -151,8 +151,8 @@ func encodeBatch(buf []byte, rel string, tuples []value.Tuple) []byte {
 // decodeBatch parses a payload produced by encodeBatch. Errors mean real
 // corruption — the checksum already vouched for the bytes — so replay
 // fails loudly instead of truncating. It accepts only encodeBatch's own
-// encoding (minimal uvarints, arity 0 for an empty batch), so an
-// accepted payload is the one encoding of its batch.
+// encoding (minimal uvarints, arity 0 for an empty batch, null IDs that
+// fit an int), so an accepted payload is the one encoding of its batch.
 func decodeBatch(payload []byte) (Batch, error) {
 	var b Batch
 	rel, payload, err := decodeString(payload)

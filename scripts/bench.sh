@@ -4,8 +4,11 @@
 # repository root, so the performance trajectory across PRs stays
 # machine-readable. The default regexp covers, among others:
 #   - BenchmarkFigure1aWorkersScaled: the worker benchmark sized to show
-#     multi-core sampling scaling (m = 40000 samples per candidate; the
-#     smaller BenchmarkFigure1aWorkers run is kept as the overhead bound);
+#     multi-core sampling scaling (m = 40000 samples per candidate over a
+#     PoolWorkers budget of 1, 2 and 4; the smaller
+#     BenchmarkFigure1aWorkers run is kept as the overhead bound, and a
+#     parallel call allocates a few objects more than a sequential one
+#     for the goroutines it starts and joins);
 #   - BenchmarkSQLPipeline: indexed/fused end-to-end pipelines over
 #     the columnar executor, and race, the served LIMIT-k shape (a fresh
 #     engine per request over one shared kernel cache) that guards the
